@@ -210,15 +210,15 @@ def check_cross_runtime(streams, traces, zoo) -> list[str]:
         assert_stage_counts_equal(m_eng, m_sim)
     except AssertionError as exc:
         failures.append(f"threaded-vs-simulator counters diverge: {exc}")
-    log_eng = eng._planner.decision_labels()
-    log_sim = sim._planner.decision_labels()
+    log_eng = eng.planner.decision_labels()
+    log_sim = sim.planner.decision_labels()
     if log_eng != log_sim:
         failures.append(
             f"decision logs diverge: threaded={log_eng} sim={log_sim}"
         )
     if not log_eng:
         failures.append("no plan transitions on the quiet/busy pair")
-    reach = adaptive_reach(traces, sim.graph, cfg, sim._planner)
+    reach = adaptive_reach(traces, sim.graph, cfg, sim.planner)
     err = _conservation(reach, m_sim)
     if err:
         failures.append(f"adaptive reach reconstruction: {err}")
@@ -286,7 +286,7 @@ def lineage_depth_split(sim, telemetry) -> dict:
         terminal=sim.graph.terminal.name,
         dropped=telemetry.bus.dropped,
     )
-    planner = sim._planner
+    planner = sim.planner
     by_depth: dict[str, dict] = {}
     incomplete = 0
     for lin in lineages:
@@ -325,7 +325,7 @@ def _run_adaptive(traces) -> dict:
         traces, cfg, online=False, plan_catalog=catalog, telemetry=telemetry
     )
     m = sim.run()
-    reach = adaptive_reach(traces, sim.graph, cfg, sim._planner)
+    reach = adaptive_reach(traces, sim.graph, cfg, sim.planner)
     err = _conservation(reach, m)
     qplan = m.extra["qplan"]
     lineage = lineage_depth_split(sim, telemetry)

@@ -94,7 +94,7 @@ def main() -> None:
     adaptive = config.with_(plan="adaptive", plan_epoch=64)
     sim = PipelineSimulator([trace], adaptive, online=False)
     sim.run()
-    planner = sim._planner
+    planner = sim.planner
     filters = [s.name for s in sim.graph if not s.terminal]
     depths = [
         filters.index(planner.plan_for(0, f).depth) + 1

@@ -22,6 +22,7 @@ Writes a ``LINEAGE_smoke.json`` summary artifact.  Exit code 0 means the
 lineage story works on this interpreter.
 """
 
+import dataclasses
 import json
 import sys
 import time
@@ -129,7 +130,11 @@ def check_cluster_stitch() -> dict:
     m_src = sim_src.run()
     tel_dst = Telemetry()
     sim_dst = PipelineSimulator([dst_trace], config, online=False, telemetry=tel_dst)
-    sim_dst.streams[0].arrival_offset = BOUNDARY
+    # Stand in for a mid-run attach: the tail's frames are numbered from
+    # BOUNDARY (the kernel keeps each stream's global-index offset).
+    sim_dst.kernel.streams[0] = dataclasses.replace(
+        sim_dst.kernel.streams[0], offset=BOUNDARY
+    )
     m_dst = sim_dst.run()
 
     servers = [
@@ -242,7 +247,7 @@ def check_telemetry_off_overhead() -> dict:
     t_on = time.perf_counter() - t0
 
     # No lineage state was ever stamped without telemetry...
-    assert all(not st.enter_t for st in sim_off._stages.values())
+    assert not any(sim_off.kernel.enter_t.values())
     assert "lineage" not in m_off.extra
     assert "stage_wait_seconds" not in (sim_off.telemetry or Telemetry()).histograms
     # ...and attaching it changes observability, never the outcome.

@@ -95,12 +95,11 @@ def check_simulator_run(tmp: Path) -> None:
 
 def check_baseline_run(tmp: Path) -> None:
     """The baseline runtime speaks the same telemetry dialect."""
-    from repro.baseline import BaselineSimulator  # noqa: E402
+    from repro.baseline import baseline_offline  # noqa: E402
 
     telemetry = Telemetry()
     trace = workload_trace(jackson(), N_FRAMES, tor=0.3, seed=3)
-    sim = BaselineSimulator([trace], online=False, telemetry=telemetry)
-    metrics = sim.run()
+    metrics = baseline_offline([trace], telemetry=telemetry)
 
     events = telemetry.bus.events()
     assert events, "baseline run produced no events"

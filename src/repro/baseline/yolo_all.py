@@ -8,204 +8,42 @@ around 112 FPS aggregate — enough for roughly four live 30 FPS streams
 ("the mainstream cost-effective servers ... can analyze up to four-way
 streams using YOLOv2 in real-time") and ~134 raw FPS offline.
 
-The baseline shares the FFS-VA cost model, metrics, *and telemetry schema*,
-so every comparison in the benchmark suite is apples-to-apples: attach a
-:class:`~repro.obs.Telemetry` and the baseline emits the same six event
-kinds and samples the same gauge families as both FFS-VA runtimes, which is
-what lets :func:`~repro.obs.trace.overlay_chrome_trace` put a YOLOv2 run
-and an FFS-VA run on one timeline.
+The baseline is not a runtime of its own: it is the ``ref-only`` cascade on
+:func:`~repro.devices.placement.baseline_placement`, run by the same
+:class:`~repro.sim.simulator.PipelineSimulator` as FFS-VA.  Cost model,
+metrics, latency definition and telemetry schema are therefore shared by
+construction, so every comparison in the benchmark suite is
+apples-to-apples and :func:`~repro.obs.trace.overlay_chrome_trace` can put a
+YOLOv2 run and an FFS-VA run on one timeline.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-
 from ..core.config import FFSVAConfig
-from ..core.metrics import LatencyStats, RunMetrics
+from ..core.metrics import RunMetrics
 from ..core.pipeline import REF
-from ..core.queues import SimQueue
 from ..core.trace import FrameTrace
 from ..devices.costs import CostModel
-from ..devices.placement import Placement, baseline_placement
+from ..devices.placement import baseline_placement
 from ..obs import Telemetry
+from ..sim.simulator import simulate_offline, simulate_online
 
-__all__ = ["BaselineSimulator", "baseline_offline", "baseline_online"]
+__all__ = ["baseline_offline", "baseline_online"]
+
+#: Frames the decoder may buffer ahead of the two GPUs.  The queue is
+#: bounded (unlike FFS-VA's Section 5.5 overflow-to-storage remedy) because
+#: with no filter upstream it *is* the ingest path: back-pressure on it is
+#: how an overloaded baseline falls behind its cameras.
+_REF_QUEUE_DEPTH = 8
 
 
-class BaselineSimulator:
-    """Every frame of every stream goes straight to the reference model."""
-
-    def __init__(
-        self,
-        traces: list[FrameTrace],
-        config: FFSVAConfig | None = None,
-        cost_model: CostModel | None = None,
-        placement: Placement | None = None,
-        *,
-        online: bool = True,
-        queue_depth: int = 8,
-        telemetry: Telemetry | None = None,
-    ):
-        if not traces:
-            raise ValueError("need at least one stream trace")
-        self.config = config or FFSVAConfig()
-        self.costs = cost_model or CostModel()
-        self.placement = placement or baseline_placement()
-        self.placement.reset()
-        self.online = online
-        self.traces = traces
-        self.n_per_stream = [len(t) for t in traces]
-        self.admitted = [0] * len(traces)
-        self.done = [0] * len(traces)
-        self.ref_q = SimQueue(queue_depth, REF)
-        self._heap: list = []
-        self._seq = itertools.count()
-        self._busy: set[str] = set()
-        self._latencies: list[float] = []
-        self.metrics = RunMetrics(n_streams=len(traces))
-        #: Attached telemetry (None = disabled).  Timestamps are virtual
-        #: seconds; the schema is identical to both FFS-VA runtimes.
-        self.telemetry = (
-            telemetry if telemetry is not None else Telemetry.from_config(self.config)
-        )
-        self._prev_sample = {"t": 0.0, "done": 0, "busy": {}}
-        # queue_block dedup: _top_up runs repeatedly inside fixed-point
-        # loops, so a blocked head-of-line frame is reported at most once.
-        self._blocked = [-1] * len(traces)
-
-    def _arrival(self, s: int, i: int) -> float:
-        return i / self.config.stream_fps if self.online else 0.0
-
-    def _top_up(self, now: float) -> None:
-        eps = 1e-12
-        tel = self.telemetry
-        emit = tel is not None and tel.bus.enabled
-        for s, n in enumerate(self.n_per_stream):
-            while self.admitted[s] < n and self.ref_q.has_room(1):
-                i = self.admitted[s]
-                if self._arrival(s, i) > now + eps:
-                    break
-                self.ref_q.put((s, i))
-                if emit:
-                    t_in = max(now, self._arrival(s, i))
-                    tel.bus.emit("admission", t_in, REF, stream=s, frame=i)
-                    tel.bus.emit("frame_enter", t_in, REF, stream=s, frame=i)
-                self.admitted[s] += 1
-            if (
-                emit
-                and self.admitted[s] < n
-                and self._arrival(s, self.admitted[s]) <= now + eps
-                and not self.ref_q.has_room(1)
-                and self._blocked[s] != self.admitted[s]
-            ):
-                self._blocked[s] = self.admitted[s]
-                tel.bus.emit(
-                    "queue_block", now, REF,
-                    stream=s, frame=self.admitted[s], n=len(self.ref_q),
-                )
-
-    def _next_arrival(self, now: float) -> float | None:
-        best = None
-        for s, n in enumerate(self.n_per_stream):
-            if self.admitted[s] < n:
-                t = self._arrival(s, self.admitted[s])
-                if t > now and (best is None or t < best):
-                    best = t
-        return best
-
-    def _start_all(self, now: float) -> None:
-        progress = True
-        while progress:
-            progress = False
-            self._top_up(now)
-            for name in self.placement.stage_devices[REF]:
-                if name in self._busy or len(self.ref_q) == 0:
-                    continue
-                s, i = self.ref_q.pop()
-                dt = self.costs.service_time(REF, 1)
-                end = now + dt
-                self.placement.devices[name].busy_time += dt
-                heapq.heappush(self._heap, (end, next(self._seq), name, s, i, now))
-                self._busy.add(name)
-                progress = True
-
-    def run(self, max_virtual_time: float | None = None) -> RunMetrics:
-        now = 0.0
-        inf = float("inf")
-        tel = self.telemetry
-        sample = tel is not None
-        while True:
-            self._start_all(now)
-            if sample and tel.sampler.due(now):
-                self._sample(now)
-            if all(d == n for d, n in zip(self.done, self.n_per_stream)):
-                break
-            t_heap = self._heap[0][0] if self._heap else inf
-            t_arr = self._next_arrival(now)
-            t_next = min(t_heap, t_arr if t_arr is not None else inf)
-            if t_next == inf:
-                break
-            if max_virtual_time is not None and t_next > max_virtual_time:
-                now = max_virtual_time
-                break
-            now = t_next
-            while self._heap and self._heap[0][0] <= now + 1e-15:
-                _, _, name, s, i, start = heapq.heappop(self._heap)
-                self._busy.discard(name)
-                self.done[s] += 1
-                latency = now - self._arrival(s, i)
-                self._latencies.append(latency)
-                if tel is not None:
-                    tel.observe_latency("stage_exec_seconds", now - start, stage=REF)
-                    tel.observe_latency("frame_latency_seconds", latency, stage=REF)
-                    if tel.bus.enabled:
-                        tel.bus.emit(
-                            "batch_exec", now, REF, stream=s, t_start=start, n=1
-                        )
-                        tel.bus.emit(
-                            "frame_pass", now, REF, stream=s, frame=i, t_start=start
-                        )
-        return self._finalize(now)
-
-    # ------------------------------------------------------------------
-    # time-series sampling (telemetry only)
-    # ------------------------------------------------------------------
-    def _sample(self, now: float, *, force: bool = False) -> None:
-        tel = self.telemetry
-        gauges: dict[str, float] = {f"queue_depth[{REF}]": len(self.ref_q)}
-        done = sum(self.done)
-        busy = {name: dev.busy_time for name, dev in self.placement.devices.items()}
-        prev = self._prev_sample
-        dt = now - prev["t"]
-        if dt > 0:
-            gauges[f"stage_fps[{REF}]"] = (done - prev["done"]) / dt
-            for device, b in busy.items():
-                gauges[f"device_utilization[{device}]"] = min(
-                    1.0, (b - prev["busy"].get(device, 0.0)) / dt
-                )
-        tel.sampler.observe_many(now, gauges, force=force)
-        self._prev_sample = {"t": now, "done": done, "busy": busy}
-
-    def _finalize(self, now: float) -> RunMetrics:
-        m = self.metrics
-        m.duration = now
-        m.frames_offered = sum(self.n_per_stream)
-        m.frames_ingested = sum(self.admitted)
-        m.frames_to_ref = sum(self.done)
-        m.stages[REF].record(sum(self.done), sum(self.done))
-        m.ref_latency = LatencyStats.from_samples(self._latencies)
-        m.frame_latency = m.ref_latency
-        m.device_utilization = {
-            name: dev.utilization(m.duration)
-            for name, dev in self.placement.devices.items()
-        }
-        m.extra["per_stream_ingested"] = list(self.admitted)
-        m.extra["per_stream_done"] = list(self.done)
-        if self.telemetry is not None:
-            self._sample(now, force=True)
-            m.extra["telemetry"] = self.telemetry.bus.stats()
-        return m
+def _baseline_config(config: FFSVAConfig | None) -> FFSVAConfig:
+    config = config or FFSVAConfig()
+    return config.with_(
+        cascade="ref-only",
+        ref_overflow_to_storage=False,
+        queue_depths={**config.queue_depths, REF: _REF_QUEUE_DEPTH},
+    )
 
 
 def baseline_offline(
@@ -216,9 +54,10 @@ def baseline_offline(
     telemetry: Telemetry | None = None,
 ) -> RunMetrics:
     """Offline YOLOv2-on-everything across both GPUs."""
-    return BaselineSimulator(
-        traces, config, cost_model, online=False, telemetry=telemetry
-    ).run()
+    return simulate_offline(
+        traces, _baseline_config(config), cost_model, baseline_placement(),
+        telemetry=telemetry,
+    )
 
 
 def baseline_online(
@@ -230,7 +69,7 @@ def baseline_online(
     telemetry: Telemetry | None = None,
 ) -> RunMetrics:
     """Online YOLOv2-on-everything across both GPUs (bounded horizon)."""
-    config = config or FFSVAConfig()
-    sim = BaselineSimulator(traces, config, cost_model, online=True, telemetry=telemetry)
-    n_max = max(len(t) for t in traces)
-    return sim.run(max_virtual_time=n_max / config.stream_fps + horizon_slack)
+    return simulate_online(
+        traces, _baseline_config(config), cost_model, baseline_placement(),
+        horizon_slack=horizon_slack, telemetry=telemetry,
+    )

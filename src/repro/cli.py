@@ -20,6 +20,7 @@ import argparse
 import sys
 
 from . import __version__
+from .baseline import baseline_offline, baseline_online
 from .core.config import FFSVAConfig
 from .core.pipeline import CASCADES
 from .core.planner import offline_throughput_bound, plan_capacity
@@ -412,26 +413,27 @@ def _cmd_simulate(args) -> int:
     )
     traces = [base.rotated(997 * i).renamed(f"stream-{i}") for i in range(args.streams)]
     telemetry = Telemetry.from_config(config)
-    if args.baseline:
-        from .baseline import BaselineSimulator
-
-        sim = BaselineSimulator(
-            traces, config, online=(args.mode == "online"), telemetry=telemetry
-        )
-    else:
-        sim = PipelineSimulator(
-            traces, config, online=(args.mode == "online"), telemetry=telemetry
-        )
+    online = args.mode == "online"
+    # The baseline is the ref-only cascade behind two functions, so it has
+    # no simulator object to watch: its metrics exist once the run returns.
+    sim = m = None
+    if not args.baseline:
+        sim = PipelineSimulator(traces, config, online=online, telemetry=telemetry)
     server = None
     if telemetry is not None and config.telemetry_port is not None:
         # Serve live state: scraping /metrics mid-run sees the run so far.
-        server = telemetry.serve(lambda: sim.metrics, port=config.telemetry_port)
+        server = telemetry.serve(
+            lambda: sim.metrics if sim is not None else m, port=config.telemetry_port
+        )
         print(f"telemetry endpoint: {server.url}/metrics")
-    if args.mode == "offline":
-        m = sim.run()
-    else:
+    if args.baseline:
+        run = baseline_online if online else baseline_offline
+        m = run(traces, config, telemetry=telemetry)
+    elif online:
         horizon = max(len(t) for t in traces) / config.stream_fps + 2.0
         m = sim.run(max_virtual_time=horizon)
+    else:
+        m = sim.run()
     print(f"{args.mode} simulation of {args.streams} stream(s):")
     print(f"  throughput: {m.throughput_fps:.1f} FPS aggregate "
           f"({m.per_stream_fps:.1f}/stream)")
@@ -444,7 +446,7 @@ def _cmd_simulate(args) -> int:
           f"({m.stage_fraction(terminal):.1%} of input)")
     for dev, util in sorted(m.device_utilization.items()):
         print(f"  {dev} utilization: {util:.0%}")
-    if getattr(sim, "store", None) is not None:
+    if sim is not None and sim.store is not None:
         print(f"  detection store: {sim.store.rows_appended} rows in "
               f"{config.result_store_dir} (query with `ffs-va query`)")
     _write_artifacts(args, m, telemetry, terminal)

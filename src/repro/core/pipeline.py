@@ -1,7 +1,8 @@
 """The stage-graph control plane shared by both runtimes.
 
-DESIGN.md's key decision #1 is "two runtimes, one control plane".  This
-module is that control plane made first-class: a :class:`StageGraph` is a
+DESIGN.md's key decision #1 is "one cascade kernel, two clocks".  This
+module is the topology half of that shared control plane (the behaviour
+half is :mod:`repro.core.kernel`): a :class:`StageGraph` is a
 declarative description of a filter cascade — one :class:`StageSpec` per
 stage carrying its name, default device, fan-in mode, batch-formation rule,
 and a pure :class:`StageLogic` that produces pass/drop verdicts — and both

@@ -41,6 +41,12 @@ class Placement:
             if not names:
                 raise ValueError(f"stage {stage!r} has no devices")
 
+    def hosts(self, spec) -> list[str]:
+        """Names of the devices hosting stage ``spec``, primary first; a
+        stage this placement does not map runs on its spec's default device
+        (how both runtimes place a custom graph's extra stages)."""
+        return self.stage_devices.get(spec.name) or [spec.device]
+
     def devices_for(self, stage: str) -> list[Device]:
         """All devices allowed to execute ``stage``."""
         return [self.devices[n] for n in self.stage_devices[stage]]

@@ -20,10 +20,11 @@ CPU-only host this costs nothing but keeps the execution structure
 faithful.
 
 The runtime is meant for functional validation and moderate scales; the
-paper-scale experiments use :mod:`repro.sim` with the calibrated cost model
-— both execute the same graph and emit the same per-stage counters, so the
-two can be cross-checked with
-:func:`repro.core.metrics.assert_stage_counts_equal`.
+paper-scale experiments use :mod:`repro.sim` with the calibrated cost model.
+Both are drivers around one :class:`~repro.core.kernel.CascadeKernel`, which
+owns every decision that needs no clock (wiring, routing, batch settlement,
+records, gauges); what is left here needs threads or wall time.  The two
+can be cross-checked with :func:`repro.core.metrics.assert_stage_counts_equal`.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ..core.admission import AdmissionController
 from ..core.batching import decide_fused_batch, fused_pop_order
 from ..core.config import FFSVAConfig
-from ..core.metrics import LatencyStats, RunMetrics, StageCounters
+from ..core.kernel import CascadeKernel, StreamInfo
+from ..core.metrics import LatencyStats, RunMetrics
 from ..core.pipeline import (
     ABORTED,
     DROPPED,
@@ -51,13 +53,10 @@ from ..core.pipeline import (
     StageSpec,
     cascade,
 )
-from ..core.qplan import QueryPlanner
 from ..core.queues import FeedbackQueue, QueueClosed
 from ..devices.placement import Placement, ffs_va_placement
 from ..models.zoo import ModelZoo
 from ..obs import Telemetry
-from ..obs.lineage import lineage_section
-from ..store.detstore import DetectionRecord, DetStore
 from .procpool import ProcPool
 from ..video.stream import VideoStream
 
@@ -78,18 +77,14 @@ class FrameOutcome:
     latency: float  # seconds from prefetch to final disposition
 
 
-@dataclass
-class _Work:
-    """A frame in flight between stages."""
+class _Work(NamedTuple):
+    """A frame in flight between stages; its first two fields are the
+    ``(stream, frame)`` pair the kernel identifies it by."""
 
     stream_idx: int
     index: int
     pixels: np.ndarray
     t_start: float
-    #: When the frame last landed in a stage's input queue (run-relative
-    #: clock; stamped only when telemetry is attached).  Service time minus
-    #: this is the hop's wait, feeding ``stage_wait_seconds``.
-    t_enter: float = 0.0
 
 
 @dataclass
@@ -152,7 +147,7 @@ class ThreadedPipeline:
         telemetry: Telemetry | None = None,
         *,
         reserve_slots: int = 0,
-        store: DetStore | None = None,
+        store=None,
         plan_catalog=None,
     ):
         if not streams and reserve_slots <= 0:
@@ -163,29 +158,34 @@ class ThreadedPipeline:
                     f"stream {s.stream_id} has no trained models; call "
                     "zoo.train_for_stream() first"
                 )
-        self.config = cfg = config or FFSVAConfig()
-        self.graph = cascade(graph) if graph is not None else cfg.graph()
-        self.zoo = zoo
-        self.placement = placement or ffs_va_placement()
+        cfg = config or FFSVAConfig()
+        graph = cascade(graph) if graph is not None else cfg.graph()
         if reserve_slots:
             # Process pools and fused evaluators capture the bundle roster at
             # fork/build time, before a mid-run attach could fill a slot.
-            if any(spec.executor == "process" for spec in self.graph):
+            if any(spec.executor == "process" for spec in graph):
                 raise ValueError("reserve_slots is incompatible with executor='process'")
-            if any(spec.fan_in == FUSED for spec in self.graph):
+            if any(spec.fan_in == FUSED for spec in graph):
                 raise ValueError("reserve_slots is incompatible with fused stages")
             if cfg.plan == "adaptive":
                 # The planner's chunk accounting and the terminal
                 # producer-count bookkeeping assume a fixed stream roster.
                 raise ValueError("reserve_slots is incompatible with plan='adaptive'")
-        if cfg.plan == "adaptive" and len(self.graph) > 2:
-            if self.graph.terminal.fan_in != MERGED:
-                raise ValueError(
-                    "adaptive depth planning needs a merged terminal stage "
-                    "(early exits route straight to its queue)"
-                )
+        #: The clock-free half of the run (repro.core.kernel): wiring, metrics
+        #: and every per-batch decision; this class adds threads and wall time.
+        self.kernel = k = CascadeKernel(
+            cfg, graph, telemetry=telemetry, store=store, plan_catalog=plan_catalog
+        )
+        self.config, self.graph, self.metrics = cfg, graph, k.metrics
+        self.telemetry, self.admission, self.planner = k.telemetry, k.admission, k.planner
+        self.store = k.store
+        self.lineage_context = k.lineage_context
+        self.zoo = zoo
+        self.placement = placement or ffs_va_placement()
         self.ctxs = [_StreamCtx(stream=s, bundle=zoo[s.stream_id]) for s in streams]
         self.ctxs += [_StreamCtx(stream=None, bundle=None) for _ in range(reserve_slots)]
+        for ctx in self.ctxs:
+            k.add_stream(_stream_info(ctx.stream) if ctx.stream is not None else None)
         n = len(self.ctxs)
 
         #: Per-stage input queues: one per stream for per_stream/shared_rr
@@ -193,13 +193,11 @@ class ThreadedPipeline:
         self.stage_queues: dict[str, list[FeedbackQueue]] = {}
         self.merged_queues: dict[str, FeedbackQueue] = {}
         for spec in self.graph:
-            depth = self._depth_for(spec)
+            queues = k.make_queues(spec, FeedbackQueue, range(n))
             if spec.fan_in == MERGED:
-                self.merged_queues[spec.name] = FeedbackQueue(depth, spec.name)
+                self.merged_queues[spec.name] = queues[0]
             else:
-                self.stage_queues[spec.name] = [
-                    FeedbackQueue(depth, f"{spec.name}[{i}]") for i in range(n)
-                ]
+                self.stage_queues[spec.name] = queues
 
         # Idle shared/fused workers park on these instead of spin-polling;
         # producers set the event on every put into (or close of) one of
@@ -209,13 +207,6 @@ class ThreadedPipeline:
             for spec in self.graph
             if spec.fan_in in (SHARED_RR, FUSED)
         }
-        #: Adaptive depth planning makes every non-terminal worker a
-        #: potential producer of the merged terminal queue (early exits
-        #: skip straight to it); the close protocol must account for that.
-        self._plan_routing = (
-            cfg.plan == "adaptive"
-            and sum(1 for s in self.graph if not s.terminal) > 1
-        )
         # A merged queue is closed by the *last* of its producers.
         self._producers_left = {
             spec.name: self._producer_count(spec)
@@ -224,50 +215,11 @@ class ThreadedPipeline:
         }
         self._producers_lock = threading.Lock()
 
+        self._devnames = {spec.name: self.placement.hosts(spec)[0] for spec in self.graph}
         self._locks = {spec.name: self._device_lock(spec) for spec in self.graph}
-        self._devnames = {spec.name: self._device_name(spec) for spec in self.graph}
-        #: Attached telemetry (None = disabled; every emission site guards
-        #: on that with a single branch).
-        self.telemetry = telemetry if telemetry is not None else Telemetry.from_config(cfg)
-        #: Closed-loop admission: decisions are read off the telemetry
-        #: sampler's series (None when telemetry is disabled).
-        self.admission = (
-            AdmissionController(cfg, sampler=self.telemetry.sampler, graph=self.graph)
-            if self.telemetry is not None
-            else None
-        )
-        #: Content-adaptive query planner (None when plan="static").  It
-        #: shares the telemetry sampler when one exists so its activity
-        #: series ride the same export plane; otherwise it runs a private
-        #: sampler — planning works with telemetry off.
-        self._planner = (
-            QueryPlanner(
-                cfg,
-                graph=self.graph,
-                sampler=self.telemetry.sampler if self.telemetry is not None else None,
-                catalog=plan_catalog,
-            )
-            if cfg.plan == "adaptive"
-            else None
-        )
-        if self._planner is not None:
-            for i, s in enumerate(streams):
-                self._planner.register(i, s.stream_id)
-        #: Persistent detection store (None = no persistence).  An injected
-        #: store is used as-is; otherwise config.result_store_dir builds one.
-        self.store = (
-            store
-            if store is not None
-            else DetStore.from_config(cfg, terminal=self.graph.terminal.name)
-        )
         self._t0 = 0.0  # run-start monotonic reference for telemetry stamps
-        self._busy: dict[str, float] = {}  # per-device lock-held seconds
         self.outcomes: list[FrameOutcome] = []
         self._outcome_lock = threading.Lock()
-        self.metrics = RunMetrics(
-            n_streams=len(streams),
-            stages={spec.name: StageCounters() for spec in self.graph},
-        )
         #: Per-slot prefetch control blocks (None = reserve slot, unused).
         self._feeds: list[_Feed | None] = [None] * n
         self._feed_lock = threading.Lock()
@@ -275,11 +227,7 @@ class ThreadedPipeline:
         self._sealed = reserve_slots == 0
         self._paced_fps: float | None = None
         self._running = False
-        #: Per-slot frames that passed the first stage — the live "cost"
-        #: signal the router ranks streams by when choosing what to shed
-        #: (the simulator counts the identical quantity in ``_complete``).
-        self._first_pass = [0] * n
-        self._stage_lock = threading.Lock()
+        self._ran = False
         self._errors: list[BaseException] = []
         self._abort = threading.Event()
         #: Process pools keyed by stage name, built in run() *before* any
@@ -297,20 +245,12 @@ class ThreadedPipeline:
     # ------------------------------------------------------------------
     # graph-driven construction helpers
     # ------------------------------------------------------------------
-    def _depth_for(self, spec: StageSpec) -> int | None:
-        cfg = self.config
-        if not cfg.bounded_queues:
-            return None  # static batching runs without the feedback mechanism
-        if spec.terminal and cfg.ref_overflow_to_storage:
-            return None  # Section 5.5: terminal overflow goes to storage
-        return cfg.queue_depth(spec.depth_key)
-
     def _producer_count(self, spec: StageSpec) -> int:
         """How many worker threads feed ``spec``'s merged queue."""
         upstream = self.graph.upstream(spec.name)
         if not upstream:
             return len(self.ctxs)  # fed directly by the prefetchers
-        if self._plan_routing and spec.terminal:
+        if self.kernel.plan_routing and spec.terminal:
             # Early exits let *every* non-terminal stage's workers route
             # passers straight here, so the queue only closes once all of
             # them are done (each decrements once per worker on finish).
@@ -322,12 +262,8 @@ class ThreadedPipeline:
         prev = upstream[-1]
         return len(self.ctxs) if prev.fan_in == PER_STREAM else 1
 
-    def _device_name(self, spec: StageSpec) -> str:
-        names = self.placement.stage_devices.get(spec.name) or [spec.device]
-        return names[0]
-
     def _device_lock(self, spec: StageSpec):
-        device = self.placement.devices.get(self._device_name(spec))
+        device = self.placement.devices.get(self._devnames[spec.name])
         if device is not None and device.kind == "gpu":
             return device.lock
         return nullcontext()
@@ -352,22 +288,6 @@ class ThreadedPipeline:
             return cfg.num_t_yolo, 1
         return rule.size, 1
 
-    def _adaptive_batch_stage(self, spec: StageSpec) -> bool:
-        """True when the planner drives this stage's batch target live."""
-        return (
-            self._planner is not None
-            and self._planner.adaptive_batching
-            and spec.batch.kind == "config"
-        )
-
-    def _shared_cap(self, spec: StageSpec) -> int:
-        """Frames a shared_rr worker takes from one stream per visit."""
-        if spec.batch.kind == "rr_cap":
-            return self.config.num_t_yolo
-        if spec.batch.kind == "config":
-            return self.config.batch_size
-        return spec.batch.size
-
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
@@ -381,32 +301,10 @@ class ThreadedPipeline:
         )
         with self._outcome_lock:
             self.outcomes.append(outcome)
-        if self.store is not None:
-            # Stream time (index / fps), not the wall clock: the simulator
-            # stamps the identical value, which is what makes threaded and
-            # simulated stores row-for-row comparable.
-            ctx = self.ctxs[work.stream_idx]
-            self.store.append(
-                DetectionRecord(
-                    stream=outcome.stream_id,
-                    frame=work.index,
-                    t=work.index / ctx.stream.fps,
-                    cls=ctx.stream.kind,
-                    box=None,
-                    score=float(ref_count) if ref_count is not None else 0.0,
-                    disposition=stage,
-                )
-            )
-        tel = self.telemetry
-        if tel is not None:
-            tel.observe_latency("frame_latency_seconds", outcome.latency, stage=stage)
-
-    def _count(self, stage: str, n_in: int, n_pass: int, busy: float = 0.0) -> None:
-        with self._stage_lock:
-            self.metrics.stages[stage].record(n_in, n_pass)
-            if busy:
-                device = self._devnames[stage]
-                self._busy[device] = self._busy.get(device, 0.0) + busy
+        self.kernel.record(
+            work.stream_idx, work.index, stage, outcome.latency,
+            float(ref_count) if ref_count is not None else 0.0,
+        )
 
     def _fail(self, exc: BaseException) -> None:
         self._errors.append(exc)
@@ -417,9 +315,12 @@ class ThreadedPipeline:
         threaded timeline is comparable with the simulator's virtual one)."""
         return time.monotonic() - self._t0
 
-    def _put(self, spec: StageSpec, queue: FeedbackQueue, work: _Work) -> str:
+    def _put(
+        self, spec: StageSpec, queue: FeedbackQueue, work: _Work, *, admit: bool = False
+    ) -> str:
         """Blocking put into ``spec``'s input: ``"ok"``, ``"dropped"``, or
-        ``"abort"``.
+        ``"abort"``; ``admit`` marks a prefetcher's put (the frame's
+        admission into the pipeline).
 
         Gives up on abort (a worker dying downstream must not leave its
         producer blocked forever on a full feedback queue).  With
@@ -428,7 +329,9 @@ class ThreadedPipeline:
         reports ``"dropped"`` so the caller can give the frame a terminal
         disposition instead of losing it silently.
         """
-        tel = self.telemetry
+        k = self.kernel
+        traced = k.telemetry is not None
+        s_idx, f_idx = work.stream_idx, work.index
         timeout = self.config.queue_put_timeout
         deadline = None if timeout is None else time.monotonic() + timeout
         while not self._abort.is_set():
@@ -436,27 +339,16 @@ class ThreadedPipeline:
                 if queue.put(work, timeout=0.1):
                     if spec.fan_in in (SHARED_RR, FUSED):
                         self._wake[spec.name].set()
-                    if tel is not None:
-                        work.t_enter = t_enter = self._now()
-                        if tel.bus.enabled:
-                            tel.bus.emit(
-                                "frame_enter", t_enter, spec.name,
-                                stream=work.stream_idx, frame=work.index,
-                            )
+                    if traced:
+                        k.entered(spec.name, s_idx, f_idx, self._now(), admitted=admit)
                     return "ok"
             except QueueClosed:
-                if tel is not None and tel.bus.enabled:
-                    tel.bus.emit(
-                        "queue_block", self._now(), spec.name,
-                        stream=work.stream_idx, frame=work.index, n=len(queue),
-                    )
+                if traced:
+                    k.blocked(spec.name, s_idx, f_idx, self._now(), len(queue))
                 return "dropped"
             # Timed out against a full queue: one observed back-pressure stall.
-            if tel is not None and tel.bus.enabled:
-                tel.bus.emit(
-                    "queue_block", self._now(), spec.name,
-                    stream=work.stream_idx, frame=work.index, n=len(queue),
-                )
+            if traced:
+                k.blocked(spec.name, s_idx, f_idx, self._now(), len(queue))
             if deadline is not None and time.monotonic() >= deadline:
                 return "dropped"
         return "abort"
@@ -484,7 +376,7 @@ class ThreadedPipeline:
         nxt = self.graph.next(spec.name)
         if nxt is not None:
             self._close_input(nxt, stream_idx)
-        if self._plan_routing and not spec.terminal and nxt is not None and not nxt.terminal:
+        if self.kernel.plan_routing and not spec.terminal and nxt is not None and not nxt.terminal:
             # Under adaptive depth planning this worker was also a potential
             # producer of the terminal queue (early exits); release its
             # share of that producer count.  When ``nxt`` *is* the terminal
@@ -521,27 +413,10 @@ class ThreadedPipeline:
     def _serve(self, spec: StageSpec, works: list[_Work], scratch: dict | None = None) -> bool:
         """Evaluate one batch and route each frame; False aborts the worker.
 
-        Under adaptive planning the SNM batch is split so that every
-        stream's frames within a group share one plan chunk (and therefore
-        one FilterDegree); splits only occur at the rare chunk-boundary
-        crossings, so the steady state stays a single full batch.
+        The kernel splits the batch into plan-homogeneous groups (one group
+        except where an adaptive SNM batch crosses a chunk boundary).
         """
-        planner = self._planner
-        if planner is None or not planner.active or spec.name != SNM:
-            return self._serve_one(spec, works, scratch)
-        epoch = planner.epoch
-        groups: list[list[_Work]] = []
-        cur: list[_Work] = []
-        seen: dict[int, int] = {}
-        for w in works:
-            c = w.index // epoch
-            if cur and seen.get(w.stream_idx, c) != c:
-                groups.append(cur)
-                cur, seen = [], {}
-            cur.append(w)
-            seen[w.stream_idx] = c
-        groups.append(cur)
-        for group in groups:
+        for group in self.kernel.plan_groups(spec, works):
             if not self._serve_one(spec, group, scratch):
                 return False
         return True
@@ -562,12 +437,11 @@ class ThreadedPipeline:
         ``"aborted"`` so no outcome is ever silently lost.
         """
         done = 0
-        tel = self.telemetry
-        bus = tel.bus if tel is not None else None
-        planner = self._planner
+        kernel = self.kernel
+        planner = kernel.planner
         cfg = self.config
         deg_vec = None  # per-stream degree vector for the fused SNM path
-        if planner is not None and planner.active and spec.name == SNM:
+        if planner is not None and spec.name == SNM:
             if spec.fan_in == FUSED:
                 deg_vec = np.full(len(self.ctxs), cfg.filter_degree)
                 for w in works:
@@ -640,83 +514,27 @@ class ThreadedPipeline:
                     passes, info = spec.logic.evaluate(pixels, bundles, self.zoo, cfg)
                     t_done = self._now()
                 busy = t_done - t_exec
-            passes = np.asarray(passes, dtype=bool)
-            self._count(spec.name, n, int(passes.sum()), busy=busy)
-            if spec.name == self.graph.first.name:
-                with self._stage_lock:
-                    for k, w in enumerate(works):
-                        if passes[k]:
-                            self._first_pass[w.stream_idx] += 1
-                if planner is not None and planner.active:
-                    # Feed the planner the first-stage verdicts in frame
-                    # order per stream, *before* routing: a chunk boundary
-                    # inside this batch decides the next chunk's plan here,
-                    # so the plan exists before any of its frames moves on.
-                    by_stream: dict[int, tuple[list, list]] = {}
-                    for k, w in enumerate(works):
-                        fs, ps = by_stream.setdefault(w.stream_idx, ([], []))
-                        fs.append(w.index)
-                        ps.append(bool(passes[k]))
-                    for si in by_stream:
-                        planner.observe_first(si, *by_stream[si])
-            if tel is not None:
-                tel.observe_latency("stage_exec_seconds", busy, stage=spec.name)
-                # Per-frame wait/service attribution: the hop's queue wait
-                # is service start minus the frame's last enqueue stamp
-                # (clock races can make it slightly negative; the histogram
-                # clamps and counts those as skew).  Service is the batch's
-                # busy window, charged to every frame it covered.
-                for w in works:
-                    tel.observe_latency(
-                        "stage_wait_seconds", t_exec - w.t_enter, stage=spec.name
-                    )
-                    tel.observe_latency(
-                        "stage_service_seconds", busy, stage=spec.name
-                    )
-            if bus is not None and bus.enabled:
-                if bus.wants("batch_exec"):
-                    bus.emit(
-                        "batch_exec", t_done, spec.name,
-                        stream=works[0].stream_idx
-                        if spec.fan_in not in (MERGED, FUSED)
-                        else None,
-                        t_start=t_exec, n=n,
-                    )
-                # Hoisted per-kind check: a bus sampling only batch_exec
-                # skips the whole per-frame emission loop (emit itself also
-                # drops unwanted kinds, so this is purely a fast path).
-                if bus.wants("frame_pass") or bus.wants("frame_filter"):
-                    for k, work in enumerate(works):
-                        bus.emit(
-                            "frame_pass" if (spec.terminal or passes[k]) else "frame_filter",
-                            t_done, spec.name,
-                            stream=work.stream_idx, frame=work.index, t_start=t_exec,
-                        )
-            nxt = self.graph.next(spec.name)
-            for k, work in enumerate(works):
+            passes = np.asarray(passes, dtype=bool).tolist()
+            kernel.settle(
+                spec, [w[:2] for w in works], passes, t_exec, t_done, busy,
+                device=self._devnames[spec.name],
+            )
+            for i, work in enumerate(works):
                 if spec.terminal:
-                    detail = None if info is None else int(info[k])
+                    detail = None if info is None else int(info[i])
                     self._record(work, spec.name, ref_count=detail)
-                elif passes[k]:
-                    tgt = nxt
-                    if self._plan_routing and planner.exits_at(
-                        spec.name, work.stream_idx, work.index
-                    ):
-                        # Plan says this stream's chunk stops filtering here:
-                        # skip the remaining filters, go straight to the
-                        # merged terminal stage.
-                        tgt = self.graph.terminal
-                    target = self._input_queue(tgt, work.stream_idx)
-                    status = self._put(tgt, target, work)
+                elif passes[i]:
+                    tgt = kernel.target(spec, work.stream_idx, work.index)
+                    status = self._put(tgt, self._input_queue(tgt, work.stream_idx), work)
                     if status == "abort":
-                        for w in works[k:]:
+                        for w in works[i:]:
                             self._record(w, ABORTED)
                         return False
                     if status == "dropped":
                         self._record(work, DROPPED)
                 else:
                     self._record(work, spec.name)
-                done = k + 1
+                done = i + 1
             return True
         except BaseException:
             for w in works[done:]:
@@ -731,7 +549,6 @@ class ThreadedPipeline:
         feed = self._feeds[idx]
         first = self.graph.first
         target = self._input_queue(first, idx)
-        tel = self.telemetry
         paced_fps = self._paced_fps
         t0 = time.monotonic()
         try:
@@ -751,7 +568,7 @@ class ThreadedPipeline:
                 else:
                     pixels = ctx.stream.pixels(i)
                 work = _Work(idx, i, pixels, time.monotonic())
-                status = self._put(first, target, work)
+                status = self._put(first, target, work, admit=True)
                 if status == "dropped":
                     feed.offered = j + 1
                     self._record(work, DROPPED)
@@ -765,101 +582,73 @@ class ThreadedPipeline:
                     feed.offered = feed.count
                     return
                 feed.offered = j + 1
-                if tel is not None and tel.bus.enabled:
-                    tel.bus.emit(
-                        "admission", self._now(), first.name, stream=idx, frame=i
-                    )
         except BaseException as exc:  # pragma: no cover - defensive
             self._fail(exc)
         finally:
             feed.boundary.set()
             self._close_input(first, idx)
 
-    def _stream_worker(self, spec: StageSpec, idx: int):
-        """Worker for one stream of a ``per_stream`` stage."""
-        q = self.stage_queues[spec.name][idx]
-        max_n, min_n = self._batch_bounds(spec)
-        adaptive = self._adaptive_batch_stage(spec)
-        scratch = {"cap": max_n}  # per-worker batch pixel buffer
+    def _stage_worker(self, loop, spec: StageSpec, idx: int | None):
+        """Thread body of one stage worker running ``loop``: a failure aborts
+        the pipeline, and on every exit path the worker releases its share
+        of the downstream queue(s) so the close protocol completes."""
         try:
-            while True:
-                if adaptive:
-                    # The planner's EWMA batch target caps (and relaxes the
-                    # floor of) the configured batch size each iteration.
-                    cap = self._planner.batch_target
-                    take, floor = min(max_n, cap), min(min_n, cap)
-                else:
-                    take, floor = max_n, min_n
-                batch = q.pop_batch(take, min_n=floor, timeout=0.05)
-                if not batch:
-                    if self._abort.is_set() or (q.closed and len(q) == 0):
-                        break
-                    continue
-                if not self._serve(spec, batch, scratch):
-                    return
+            loop(spec, idx)
         except BaseException as exc:
             self._fail(exc)
         finally:
             self._downstream_done(spec, idx)
 
-    def _shared_worker(self, spec: StageSpec):
-        """Single worker round-robining over a ``shared_rr`` stage's queues."""
+    def _queue_loop(self, spec: StageSpec, idx: int | None):
+        """Drain one input queue: stream ``idx``'s queue of a ``per_stream``
+        stage, or (``idx=None``) a ``merged`` stage's only one."""
+        q = self._input_queue(spec, idx)
+        max_n, min_n = self._batch_bounds(spec)
+        live = spec.batch.kind == "config"
+        scratch = {"cap": max_n}  # per-worker batch pixel buffer
+        while True:
+            take, floor = max_n, min_n
+            if live:
+                # Under adaptive batching the planner's EWMA target caps
+                # (and relaxes the floor of) the batch each iteration.
+                cap = self.kernel.batch_size()
+                take, floor = min(max_n, cap), min(min_n, cap)
+            batch = q.pop_batch(take, min_n=floor, timeout=0.05)
+            if not batch:
+                if self._abort.is_set() or (q.closed and len(q) == 0):
+                    return
+                continue
+            if not self._serve(spec, batch, scratch):
+                return
+
+    def _shared_loop(self, spec: StageSpec, idx: None = None):
+        """Round-robin over a ``shared_rr`` stage's per-stream queues."""
         queues = self.stage_queues[spec.name]
         wake = self._wake[spec.name]
-        cap = self._shared_cap(spec)
+        cap, _ = self._batch_bounds(spec)  # frames taken from one stream per visit
         scratch = {"cap": cap}  # per-worker batch pixel buffer
-        try:
-            while True:
-                all_done = True
-                any_served = False
-                for q in queues:
-                    if not (q.closed and len(q) == 0):
-                        all_done = False
-                    batch = q.pop_batch(cap, min_n=1, timeout=0.0)
-                    if not batch:
-                        continue
-                    any_served = True
-                    if not self._serve(spec, batch, scratch):
-                        return
-                if all_done or self._abort.is_set():
-                    break
-                if not any_served:
-                    # Park until a producer signals new work (or close);
-                    # the timeout is only a safety net, not a poll interval.
-                    wake.wait(timeout=0.05)
-                    wake.clear()
-        except BaseException as exc:
-            self._fail(exc)
-        finally:
-            self._downstream_done(spec, None)
-
-    def _merged_worker(self, spec: StageSpec):
-        """Single worker draining a ``merged`` stage's one queue."""
-        q = self.merged_queues[spec.name]
-        max_n, min_n = self._batch_bounds(spec)
-        adaptive = self._adaptive_batch_stage(spec)
-        scratch = {"cap": max_n}  # per-worker batch pixel buffer
-        try:
-            while True:
-                if adaptive:
-                    cap = self._planner.batch_target
-                    take, floor = min(max_n, cap), min(min_n, cap)
-                else:
-                    take, floor = max_n, min_n
-                batch = q.pop_batch(take, min_n=floor, timeout=0.05)
+        while True:
+            all_done = True
+            any_served = False
+            for q in queues:
+                if not (q.closed and len(q) == 0):
+                    all_done = False
+                batch = q.pop_batch(cap, min_n=1, timeout=0.0)
                 if not batch:
-                    if self._abort.is_set() or (q.closed and len(q) == 0):
-                        break
                     continue
+                any_served = True
                 if not self._serve(spec, batch, scratch):
                     return
-        except BaseException as exc:
-            self._fail(exc)
-        finally:
-            self._downstream_done(spec, None)
+            if all_done or self._abort.is_set():
+                return
+            if not any_served:
+                # Park until a producer signals new work (or close);
+                # the timeout is only a safety net, not a poll interval.
+                wake.wait(timeout=0.05)
+                wake.clear()
 
-    def _fused_worker(self, spec: StageSpec):
-        """Single worker pooling all streams' queues into mega-batches.
+    def _fused_loop(self, spec: StageSpec, idx: None = None):
+        """Pool all streams' queues of a ``fused`` stage into mega-batches.
 
         Batch formation is the shared :func:`decide_fused_batch` policy:
         the configured BatchSize satisfied from the aggregate of the
@@ -870,126 +659,58 @@ class ThreadedPipeline:
         queues = self.stage_queues[spec.name]
         wake = self._wake[spec.name]
         cfg = self.config
-        depth = self._depth_for(spec)
+        depth = queues[0].depth
         scratch = {"cap": cfg.batch_size}
         rr = 0
-        try:
-            while True:
-                # Only this worker pops these queues, so the observed
-                # lengths are lower bounds that cannot shrink under us.
-                eof = all(q.closed for q in queues)
-                lens = [len(q) for q in queues]
-                size = cfg.batch_size
-                if self._adaptive_batch_stage(spec):
-                    size = min(size, self._planner.batch_target)
-                takes = decide_fused_batch(
-                    cfg.batch_policy, lens, size, depth, eof=eof, start=rr
-                )
-                if sum(takes) == 0:
-                    if self._abort.is_set() or (eof and sum(lens) == 0):
-                        break
-                    wake.wait(timeout=0.05)
-                    wake.clear()
-                    continue
-                works: list[_Work] = []
-                for si in fused_pop_order(takes, rr):
-                    works.extend(queues[si].pop_batch(takes[si], min_n=1, timeout=0.0))
-                rr = (rr + 1) % len(queues)
-                # Streams can differ in resolution; a mega-batch tensor
-                # needs one shape, so serve one contiguous group per shape
-                # (single group in the homogeneous common case).
-                groups: dict[tuple, list[_Work]] = {}
-                for w in works:
-                    groups.setdefault(w.pixels.shape, []).append(w)
-                for group in groups.values():
-                    if not self._serve(spec, group, scratch):
-                        return
-        except BaseException as exc:
-            self._fail(exc)
-        finally:
-            self._downstream_done(spec, None)
-
-    # ------------------------------------------------------------------
-    # time-series sampling (telemetry only)
-    # ------------------------------------------------------------------
-    def _all_queues(self):
-        for queues in self.stage_queues.values():
-            yield from queues
-        yield from self.merged_queues.values()
-
-    def _sample(self, t: float, prev: dict, *, force: bool = False) -> dict:
-        """Record one gauge sweep; returns the snapshot for the next delta."""
-        tel = self.telemetry
-        gauges: dict[str, float] = {}
-        for q in self._all_queues():
-            gauges[f"queue_depth[{q.name}]"] = len(q)
-        with self._stage_lock:
-            entered = {s: c.entered for s, c in self.metrics.stages.items()}
-            busy = dict(self._busy)
-        dt = t - prev["t"]
-        if dt > 0:
-            for stage, n in entered.items():
-                gauges[f"stage_fps[{stage}]"] = (
-                    (n - prev["entered"].get(stage, 0)) / dt
-                )
-            for device, b in busy.items():
-                gauges[f"device_utilization[{device}]"] = min(
-                    1.0, (b - prev["busy"].get(device, 0.0)) / dt
-                )
-        for name, fn in self._fused_eval.items():
-            stats = getattr(fn, "mosaic_stats", None)
-            if stats is not None:
-                gauges[f"mosaic_fill_ratio[{name}]"] = stats.fill_ratio()
-                gauges[f"mosaic_regions_per_canvas[{name}]"] = (
-                    stats.regions_per_canvas()
-                )
-        tel.sampler.observe_many(t, gauges, force=force)
-        return {"t": t, "entered": entered, "busy": busy}
+        while True:
+            # Only this worker pops these queues, so the observed
+            # lengths are lower bounds that cannot shrink under us.
+            eof = all(q.closed for q in queues)
+            lens = [len(q) for q in queues]
+            takes = decide_fused_batch(
+                cfg.batch_policy, lens, self.kernel.batch_size(), depth, eof=eof, start=rr
+            )
+            if sum(takes) == 0:
+                if self._abort.is_set() or (eof and sum(lens) == 0):
+                    return
+                wake.wait(timeout=0.05)
+                wake.clear()
+                continue
+            works: list[_Work] = []
+            for si in fused_pop_order(takes, rr):
+                works.extend(queues[si].pop_batch(takes[si], min_n=1, timeout=0.0))
+            rr = (rr + 1) % len(queues)
+            # Streams can differ in resolution; a mega-batch tensor
+            # needs one shape, so serve one contiguous group per shape
+            # (single group in the homogeneous common case).
+            groups: dict[tuple, list[_Work]] = {}
+            for w in works:
+                groups.setdefault(w.pixels.shape, []).append(w)
+            for group in groups.values():
+                if not self._serve(spec, group, scratch):
+                    return
 
     def _sampler_loop(self, stop: threading.Event) -> None:
-        interval = self.telemetry.sampler.interval
-        prev = {"t": 0.0, "entered": {}, "busy": {}}
-        while not stop.wait(interval):
-            t = self._now()
-            prev = self._sample(t, prev)
-            self.admission.poll(t)
-            if self._planner is not None:
-                self._planner.poll(t)
-        t = self._now()
-        self._sample(t, prev, force=True)
-        self.admission.poll(t)
-        if self._planner is not None:
-            self._planner.poll(t)
-
-    def _planner_loop(self, stop: threading.Event) -> None:
-        """Feed queue-depth gauges to a telemetry-less adaptive planner.
-
-        When telemetry is attached the planner shares its sampler and
-        ``_sampler_loop`` polls it; this thread exists only so
-        ``adaptive_batching`` keeps working with telemetry disabled.
-        """
-        planner = self._planner
-        interval = planner.sampler.interval
-        while not stop.wait(interval):
-            t = self._now()
-            planner.sampler.observe_many(
-                t, {f"queue_depth[{q.name}]": len(q) for q in self._all_queues()}
-            )
-            planner.poll(t)
+        """Tick the kernel's control plane (gauge sweep, admission and
+        planner polls) on the wall clock."""
+        kernel = self.kernel
+        while not stop.wait(kernel.sampler.interval):
+            kernel.sweep(self._now())
+        kernel.sweep(self._now(), force=True)
 
     # ------------------------------------------------------------------
     # cluster-instance control (attach / detach / seal)
     # ------------------------------------------------------------------
+    def _unused_slots(self) -> list[int]:
+        """Reserve slots no stream was ever attached to (single-use)."""
+        return [
+            i for i, c in enumerate(self.ctxs) if c.stream is None and self._feeds[i] is None
+        ]
+
     def free_slots(self) -> int:
         """Reserve slots still able to accept a re-forwarded stream."""
         with self._feed_lock:
-            if self._sealed:
-                return 0
-            return sum(
-                1
-                for i, c in enumerate(self.ctxs)
-                if c.stream is None and self._feeds[i] is None
-            )
+            return 0 if self._sealed else len(self._unused_slots())
 
     def active_streams(self) -> dict[str, int]:
         """stream_id -> slot for streams still offering frames here."""
@@ -1001,21 +722,9 @@ class ThreadedPipeline:
             }
 
     def stream_costs(self) -> dict[str, int]:
-        """stream_id -> frames past the first stage, for active streams only.
-
-        This is the live analogue of the position-cost the offline
-        :class:`~repro.core.admission.InstanceGroup` ranks by: the stream
-        that has pushed the most work into the cascade is the most
-        expensive one to keep.
-        """
-        with self._stage_lock:
-            first_pass = list(self._first_pass)
-        with self._feed_lock:
-            return {
-                self.ctxs[i].stream.stream_id: first_pass[i]
-                for i, f in enumerate(self._feeds)
-                if f is not None and f.active and self.ctxs[i].stream is not None
-            }
+        """stream_id -> frames past the first stage, for active streams only
+        (what the router ranks by when choosing a stream to shed)."""
+        return self.kernel.stream_costs(self.active_streams().values())
 
     def outcome_count(self) -> int:
         with self._outcome_lock:
@@ -1048,22 +757,16 @@ class ThreadedPipeline:
                 raise RuntimeError("attach_stream requires a running pipeline")
             if self._sealed:
                 raise RuntimeError("pipeline is sealed")
-            slot = next(
-                (
-                    i
-                    for i, c in enumerate(self.ctxs)
-                    if c.stream is None and self._feeds[i] is None
-                ),
-                None,
-            )
-            if slot is None:
+            unused = self._unused_slots()
+            if not unused:
                 raise RuntimeError("no free reserve slot")
+            slot = unused[0]
             # Context first, then feed, then thread: the prefetcher and
             # stage workers read ctx/bundle through the slot index.
             self.ctxs[slot] = _StreamCtx(stream=stream, bundle=self.zoo[stream.stream_id])
+            self.kernel.add_stream(_stream_info(stream), slot)
             self._feeds[slot] = _Feed(start=start, count=end - start, preloaded=preloaded)
             self.metrics.frames_offered += end - start
-            self.metrics.n_streams += 1
             t = threading.Thread(
                 target=self._prefetch_worker, args=(slot,),
                 name=f"prefetch-attach-{slot}", daemon=True,
@@ -1099,7 +802,7 @@ class ThreadedPipeline:
             if self._sealed:
                 return
             self._sealed = True
-            unused = [i for i, f in enumerate(self._feeds) if f is None]
+            unused = self._unused_slots()
         first = self.graph.first
         for i in unused:
             self._close_input(first, i)
@@ -1107,14 +810,9 @@ class ThreadedPipeline:
     # ------------------------------------------------------------------
     def _drain_unfinished(self) -> None:
         """After an abort, give every still-queued frame a terminal record."""
-        leftovers: list[_Work] = []
-        for queues in self.stage_queues.values():
-            for q in queues:
-                leftovers.extend(q.drain())
-        for q in self.merged_queues.values():
-            leftovers.extend(q.drain())
-        for work in leftovers:
-            self._record(work, ABORTED)
+        for q in self.kernel.queues:
+            for work in q.drain():
+                self._record(work, ABORTED)
 
     def run(
         self,
@@ -1128,25 +826,27 @@ class ThreadedPipeline:
         ``online=True`` paces each prefetcher at ``paced_fps`` (default the
         config's ``stream_fps``); offline mode renders as fast as possible.
         """
-        fps = (paced_fps or self.config.stream_fps) if online else None
-        self._paced_fps = fps
-        counts = [
-            0
-            if ctx.stream is None
-            else (len(ctx.stream) if n_frames is None else min(n_frames, len(ctx.stream)))
-            for ctx in self.ctxs
-        ]
-        self.metrics.frames_offered = sum(counts)
+        if self._ran:
+            # Queues stay closed after a run: a second one would drop every
+            # frame at the first put and still return normally.
+            raise RuntimeError("ThreadedPipeline.run() is single-use")
+        self._ran = True
+        self._paced_fps = (paced_fps or self.config.stream_fps) if online else None
         for i, ctx in enumerate(self.ctxs):
             if ctx.stream is not None:
-                self._feeds[i] = _Feed(start=0, count=counts[i])
+                count = len(ctx.stream) if n_frames is None else min(n_frames, len(ctx.stream))
+                self._feeds[i] = _Feed(start=0, count=count)
+                self.metrics.frames_offered += count
 
         bundles = [ctx.bundle for ctx in self.ctxs]
         for spec in self.graph:
             if spec.fan_in == FUSED and spec.logic.build_fused is not None:
-                self._fused_eval[spec.name] = spec.logic.build_fused(
+                fn = self._fused_eval[spec.name] = spec.logic.build_fused(
                     bundles, self.zoo, self.config
                 )
+                stats = getattr(fn, "mosaic_stats", None)
+                if stats is not None:
+                    self.kernel.mosaic[spec.name] = stats
         # Worker processes must fork before any runtime thread exists (a
         # multi-threaded parent and the "fork" start method don't mix).
         for spec in self.graph:
@@ -1173,56 +873,37 @@ class ThreadedPipeline:
                 slot_bytes=slot_bytes,
             )
 
-        threads = []
-        for i in range(len(self.ctxs)):
-            if self._feeds[i] is None:
-                continue  # reserve slot: its queue closes at attach-exhaust or seal()
-            threads.append(
-                threading.Thread(target=self._prefetch_worker, args=(i,), daemon=True)
-            )
+        # A reserve slot gets no prefetcher: its queue closes at
+        # attach-exhaust or seal().
+        threads = [
+            threading.Thread(target=self._prefetch_worker, args=(i,), daemon=True)
+            for i, feed in enumerate(self._feeds)
+            if feed is not None
+        ]
+        loops = {
+            PER_STREAM: self._queue_loop, MERGED: self._queue_loop,
+            SHARED_RR: self._shared_loop, FUSED: self._fused_loop,
+        }
         for spec in self.graph:
-            if spec.fan_in == PER_STREAM:
-                for i in range(len(self.ctxs)):
-                    threads.append(
-                        threading.Thread(
-                            target=self._stream_worker, args=(spec, i), daemon=True
-                        )
-                    )
-            elif spec.fan_in == SHARED_RR:
-                threads.append(
-                    threading.Thread(target=self._shared_worker, args=(spec,), daemon=True)
+            # One worker per stream for per_stream stages, else one in all.
+            slots = range(len(self.ctxs)) if spec.fan_in == PER_STREAM else [None]
+            threads += [
+                threading.Thread(
+                    target=self._stage_worker, args=(loops[spec.fan_in], spec, i), daemon=True
                 )
-            elif spec.fan_in == FUSED:
-                threads.append(
-                    threading.Thread(target=self._fused_worker, args=(spec,), daemon=True)
-                )
-            else:
-                threads.append(
-                    threading.Thread(target=self._merged_worker, args=(spec,), daemon=True)
-                )
+                for i in slots
+            ]
 
         self._t0 = t0 = time.monotonic()
         self._running = True
         sampler_stop = None
-        if self.telemetry is not None:
+        if self.kernel.sampler is not None:
             sampler_stop = threading.Event()
             sampler = threading.Thread(
                 target=self._sampler_loop, args=(sampler_stop,),
                 name="telemetry-sampler", daemon=True,
             )
             sampler.start()
-        planner_stop = None
-        if (
-            self.telemetry is None
-            and self._planner is not None
-            and self._planner.adaptive_batching
-        ):
-            planner_stop = threading.Event()
-            planner_thread = threading.Thread(
-                target=self._planner_loop, args=(planner_stop,),
-                name="qplan-sampler", daemon=True,
-            )
-            planner_thread.start()
         for t in threads:
             t.start()
         for t in threads:
@@ -1238,9 +919,6 @@ class ThreadedPipeline:
         if sampler_stop is not None:
             sampler_stop.set()
             sampler.join(timeout=2.0)
-        if planner_stop is not None:
-            planner_stop.set()
-            planner_thread.join(timeout=2.0)
         pool_stats = {
             name: pool.shutdown().as_dict() for name, pool in self._pools.items()
         }
@@ -1257,64 +935,23 @@ class ThreadedPipeline:
             ) from self._errors[0]
 
         terminal = self.graph.terminal.name
-        m = self.metrics
-        m.duration = duration
+        m = self.kernel.finish(duration)
         # frames_offered is adjusted live by attach (+count) and detach
         # (-unoffered), so its final value is exactly the frames this
-        # instance gave a disposition path; without attach/detach it equals
-        # the static sum(counts).
-        m.frames_ingested = self.metrics.frames_offered
-        m.frames_to_ref = sum(1 for o in self.outcomes if o.stage == terminal)
+        # instance gave a disposition path.
+        m.frames_ingested = m.frames_offered
         ref_lat = [o.latency for o in self.outcomes if o.stage == terminal]
+        m.frames_to_ref = len(ref_lat)
         m.ref_latency = LatencyStats.from_samples(ref_lat)
         m.frame_latency = LatencyStats.from_samples([o.latency for o in self.outcomes])
-        m.queue_high_water = {
-            **{
-                q.name: q.high_water
-                for queues in self.stage_queues.values()
-                for q in queues
-            },
-            **{q.name: q.high_water for q in self.merged_queues.values()},
-        }
-        if duration > 0 and self._busy:
-            m.device_utilization = {
-                dev: min(1.0, b / duration) for dev, b in self._busy.items()
-            }
         if pool_stats:
             m.extra["procpool"] = pool_stats
-        for fn in self._fused_eval.values():
-            stats = getattr(fn, "mosaic_stats", None)
-            if stats is not None:
-                m.extra["mosaic"] = stats.as_dict()
         if self.telemetry is not None:
-            m.extra["telemetry"] = self.telemetry.bus.stats()
-            m.extra["admission"] = self.admission.summary()
             m.extra["queue_put_timeouts"] = {
-                q.name: q.put_timeouts for q in self._all_queues()
+                q.name: q.put_timeouts for q in self.kernel.queues
             }
-            m.extra["lineage"] = lineage_section(self.telemetry, terminal=terminal)
-        if self._planner is not None:
-            m.extra["qplan"] = self._planner.summary()
         return m
 
-    def lineage_context(self) -> dict:
-        """Stream-resolution context for the ``/lineage`` endpoint.
 
-        The threaded runtime offers global frame indices (an attached
-        stream keeps its ``[start, end)`` numbering), so every stream's
-        offset is zero; the map covers every slot that ever carried a
-        stream, including finished ones, so lineage stays queryable after
-        a stream drains.
-        """
-        streams = {
-            ctx.stream.stream_id: {"index": i, "offset": 0}
-            for i, ctx in enumerate(self.ctxs)
-            if ctx.stream is not None
-        }
-        return {
-            "terminal": self.graph.terminal.name,
-            "streams": streams,
-            "qplan": (
-                self._planner.summary() if self._planner is not None else None
-            ),
-        }
+def _stream_info(stream: VideoStream) -> StreamInfo:
+    return StreamInfo(stream.stream_id, stream.fps, stream.kind)

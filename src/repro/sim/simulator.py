@@ -8,7 +8,9 @@ stage-to-device placement — against the calibrated
 :class:`~repro.core.metrics.RunMetrics` the threaded runtime does, but at
 paper scale (tens of streams, thousands of frames each) on a virtual clock.
 
-Like the threaded runtime, the simulator executes a
+Like the threaded runtime, the simulator is a driver around one
+:class:`~repro.core.kernel.CascadeKernel` (which owns the clock-free
+decisions: wiring, routing, batch settlement, records, gauges) executing a
 :class:`~repro.core.pipeline.StageGraph`: the event-loop's stage table —
 which queues exist, how batches form, which streams a worker may serve,
 where survivors flow — is derived from the graph, and each stage's verdict
@@ -43,10 +45,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.admission import AdmissionController
 from ..core.batching import decide_batch, decide_fused_batch, fused_pop_order
 from ..core.config import FFSVAConfig
-from ..core.metrics import LatencyStats, RunMetrics, StageCounters
+from ..core.kernel import CascadeKernel, StreamInfo
+from ..core.metrics import LatencyStats, RunMetrics
 from ..core.pipeline import (
     FUSED,
     MERGED,
@@ -56,11 +58,9 @@ from ..core.pipeline import (
     StageGraph,
     StageSpec,
     arbitration_batch,
-    cascade,
     stage_per_frame_time,
     stage_service_time,
 )
-from ..core.qplan import QueryPlanner
 from ..core.queues import SimQueue
 from ..core.trace import FrameTrace
 from ..devices.costs import CostModel
@@ -68,8 +68,6 @@ from ..devices.placement import Placement, ffs_va_placement
 from ..models.mosaic import MosaicStats, Region, effective_regions, plan_mosaics
 from ..models.tyolo import TYOLO_GRID
 from ..obs import Telemetry
-from ..obs.lineage import lineage_section
-from ..store.detstore import DetectionRecord, DetStore
 
 __all__ = ["PipelineSimulator", "simulate_offline", "simulate_online"]
 
@@ -92,7 +90,14 @@ class _StreamState:
     analyzed: int = 0  # frames fully processed by the terminal stage
     finish_time: float = 0.0  # virtual time the last frame was disposed of
     arrival_offset: int = 0  # global index of local frame 0
+    #: Head-of-line frame last reported as blocked at the source: the
+    #: fixed-point loop retries admission many times per instant, and one
+    #: stalled frame is one ``queue_block``.
+    blocked: int = -1
     ingest_time: np.ndarray = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        self.ingest_time = np.full(self.n, np.nan)
 
     @property
     def finished(self) -> bool:
@@ -117,22 +122,19 @@ class _SimStage:
     passes: list  # ndarray[bool] per stream
     queues: list = field(default_factory=list)  # per-stream (empty if merged)
     merged_q: SimQueue | None = None
-    #: Survivors a blocked worker holds: keyed by stream index for
-    #: ``per_stream`` stages (each stream has its own worker), by device
-    #: name otherwise (one worker per hosting device).
+    #: Survivors a blocked worker holds, each with the queue it was routed
+    #: to at settlement — ``(stream, frame, queue, stage name)``: keyed by
+    #: stream index for ``per_stream`` stages (each stream has its own
+    #: worker), by device name otherwise (one worker per hosting device).
     out: dict = field(default_factory=dict)
     in_flight: list = field(default_factory=list)  # per-stream counts
     rr: int = 0  # round-robin cursor over streams
-    frames_done: int = 0
     batch_events: int = 0
     #: Mosaic stages only: per-stream ``regions_by_frame()`` lists (``None``
     #: for a trace without recorded regions — whole-frame fallback) and the
     #: running consolidation statistics.
     regions: list | None = None
     mosaic_stats: MosaicStats | None = None
-    #: Telemetry only: (stream_idx, frame_idx) -> virtual enqueue time,
-    #: popped at service completion to split wait from service per frame.
-    enter_t: dict = field(default_factory=dict)
 
     def queued(self) -> int:
         if self.merged_q is not None:
@@ -145,7 +147,6 @@ class _Service:
     stage: str
     stream_idx: int | None
     frames: list  # [(stream_idx, frame_idx), ...]
-    passes: list  # bool per frame
     start: float
     end: float
 
@@ -169,54 +170,37 @@ class PipelineSimulator:
     ):
         if not traces:
             raise ValueError("need at least one stream trace")
-        self.config = cfg = config or FFSVAConfig()
-        self.graph = cascade(graph) if graph is not None else cfg.graph()
+        #: The clock-free half of the run (repro.core.kernel): wiring, metrics
+        #: and every per-batch decision; this class adds the event heap, the
+        #: arrival model and the cost model.
+        self.kernel = k = CascadeKernel(
+            config, graph, telemetry=telemetry, store=store, plan_catalog=plan_catalog
+        )
+        self.config, self.graph, self.metrics = k.config, k.graph, k.metrics
+        self.telemetry, self.admission, self.planner = k.telemetry, k.admission, k.planner
+        self.store = k.store
+        self.lineage_context = k.lineage_context
         self.costs = cost_model or CostModel()
         self.placement = placement or ffs_va_placement()
-        self.placement.reset()
+        # Idle devices report too (utilization 0), not only the ones charged.
+        k.busy.update(dict.fromkeys(self.placement.devices, 0.0))
         self.online = online
-        if cfg.plan == "adaptive" and len(self.graph) > 2:
-            if self.graph.terminal.fan_in != MERGED:
-                raise ValueError(
-                    "adaptive depth planning needs a merged terminal stage "
-                    "(early exits route straight to its queue)"
-                )
 
         self.streams: list[_StreamState] = []
         for trace in traces:
-            st = _StreamState(trace=trace, n=len(trace))
-            st.ingest_time = np.full(st.n, np.nan)
-            self.streams.append(st)
-        n_streams = len(traces)
-
+            self._new_stream(trace)
         self._stages: dict[str, _SimStage] = {}
         for spec in self.graph:
-            stg = _SimStage(
-                spec=spec,
-                passes=[
-                    np.asarray(spec.logic.trace_mask(t, cfg), dtype=bool)
-                    for t in traces
-                ],
-                in_flight=[0] * n_streams,
-            )
-            depth = self._depth_for(spec)
-            if spec.fan_in == MERGED:
-                stg.merged_q = SimQueue(depth, spec.name)
-            else:
-                stg.queues = [
-                    SimQueue(depth, f"{spec.name}[{i}]") for i in range(n_streams)
-                ]
+            stg = self._stages[spec.name] = _SimStage(spec=spec, passes=[])
             if spec.mosaic:
-                stg.regions = [t.regions_by_frame() for t in traces]
-                stg.mosaic_stats = MosaicStats()
-            self._stages[spec.name] = stg
+                stg.regions = []
+                stg.mosaic_stats = k.mosaic[spec.name] = MosaicStats()
+            self._extend_stage(stg, traces, range(len(traces)))
 
-        # Device -> stages hosted there (graph order), honouring placement
-        # overrides; a stage absent from the placement runs on its spec's
-        # default device.
+        # Device -> stages hosted there (graph order).
         self._dev_stages: dict[str, list[StageSpec]] = {}
         for spec in self.graph:
-            for name in self._devices_for(spec):
+            for name in self.placement.hosts(spec):
                 self._dev_stages.setdefault(name, []).append(spec)
 
         self._heap: list = []
@@ -224,77 +208,42 @@ class PipelineSimulator:
         self._in_service: dict[str, _Service] = {}
         self._dev_last: dict[str, str] = {}
         self._now = 0.0
-        #: Per-stream frames past the first stage — the same live "cost"
-        #: signal the threaded engine's ``stream_costs`` reports.
-        self._first_pass: list[int] = [0] * n_streams
-        self.metrics = RunMetrics(
-            n_streams=n_streams,
-            stages={spec.name: StageCounters() for spec in self.graph},
-        )
         self._ref_latencies: list[float] = []
         self._drop_latencies: list[float] = []
         self.record_events = record_events
         #: When enabled: (start, end, device, stage, stream_idx, n, n_pass)
         #: per service, in completion order — a Gantt chart of the run.
         self.events: list[tuple] = []
-        #: Attached telemetry (None = disabled).  Event timestamps are
-        #: *virtual* seconds — the same schema the threaded runtime emits.
-        self.telemetry = telemetry if telemetry is not None else Telemetry.from_config(cfg)
-        #: Closed-loop admission: reads the same sampled series the threaded
-        #: runtime reads, on this runtime's virtual clock.
-        self.admission = (
-            AdmissionController(cfg, sampler=self.telemetry.sampler, graph=self.graph)
-            if self.telemetry is not None
-            else None
-        )
-        #: Content-adaptive query planner — the *identical* decision code the
-        #: threaded engine runs, driven here by the virtual clock.  It shares
-        #: the telemetry sampler when one exists, else runs a private one.
-        self._planner = (
-            QueryPlanner(
-                cfg,
-                graph=self.graph,
-                sampler=self.telemetry.sampler if self.telemetry is not None else None,
-                catalog=plan_catalog,
-            )
-            if cfg.plan == "adaptive"
-            else None
-        )
-        if self._planner is not None:
-            for i, t in enumerate(traces):
-                self._planner.register(i, t.stream_id)
-        self._plan_routing = (
-            self._planner is not None
-            and self._planner.active
-            and sum(1 for s in self.graph if not s.terminal) > 1
-        )
         #: Lazy per-(stage, stream, degree) verdict masks for plan-driven
         #: FilterDegree switches (the static-config mask in ``_SimStage``
         #: covers the common degree).
         self._degree_masks: dict[tuple, np.ndarray] = {}
-        #: Persistent detection store (None = no persistence).  Rows are
-        #: stamped with *stream time* on global frame indices, so they are
-        #: byte-identical to the threaded runtime's for the same workload.
-        self.store = (
-            store
-            if store is not None
-            else DetStore.from_config(cfg, terminal=self.graph.terminal.name)
-        )
-        self._prev_sample = {"t": 0.0, "done": {}, "busy": {}}
 
     # ------------------------------------------------------------------
     # graph-driven construction helpers
     # ------------------------------------------------------------------
-    def _depth_for(self, spec: StageSpec) -> int | None:
-        cfg = self.config
-        if not cfg.bounded_queues:
-            return None  # static batching runs without the feedback mechanism
-        if spec.terminal and cfg.ref_overflow_to_storage:
-            return None  # Section 5.5: terminal overflow goes to storage
-        return cfg.queue_depth(spec.depth_key)
+    def _new_stream(self, trace: FrameTrace, arrival_offset: int = 0) -> None:
+        self.streams.append(
+            _StreamState(trace=trace, n=len(trace), arrival_offset=arrival_offset)
+        )
+        self.kernel.add_stream(
+            StreamInfo(trace.stream_id, trace.fps, trace.kind, arrival_offset)
+        )
 
-    def _devices_for(self, spec: StageSpec) -> list[str]:
-        return self.placement.stage_devices.get(spec.name) or [spec.device]
+    def _extend_stage(self, stg: _SimStage, traces: list[FrameTrace], slots: range) -> None:
+        """Give ``stg`` pass masks, in-flight counters and input queues for
+        the streams in ``slots`` (all of them at construction, one on attach)."""
+        spec = stg.spec
+        stg.passes += [
+            np.asarray(spec.logic.trace_mask(t, self.config), dtype=bool) for t in traces
+        ]
+        stg.in_flight += [0] * len(traces)
+        if spec.fan_in != MERGED:
+            stg.queues += self.kernel.make_queues(spec, SimQueue, slots)
+        elif stg.merged_q is None:
+            stg.merged_q = self.kernel.make_queues(spec, SimQueue, slots)[0]
+        if spec.mosaic:
+            stg.regions += [t.regions_by_frame() for t in traces]
 
     # ------------------------------------------------------------------
     # arrival model
@@ -308,7 +257,8 @@ class PipelineSimulator:
         """Admit arrived frames into the first stage while room remains."""
         eps = 1e-12
         progress = False
-        tel = self.telemetry
+        k = self.kernel
+        traced = k.telemetry is not None
         first_name = self.graph.first.name
         first = self._stages[first_name]
         for idx, st in enumerate(self.streams):
@@ -319,17 +269,20 @@ class PipelineSimulator:
                 q.put((idx, st.admitted))
                 t_in = max(now, self._arrival_time(st, st.admitted))
                 st.ingest_time[st.admitted] = t_in
-                if tel is not None:
-                    first.enter_t[(idx, st.admitted)] = t_in
-                    if tel.bus.enabled:
-                        tel.bus.emit(
-                            "admission", t_in, first_name, stream=idx, frame=st.admitted
-                        )
-                        tel.bus.emit(
-                            "frame_enter", t_in, first_name, stream=idx, frame=st.admitted
-                        )
+                if traced:
+                    k.entered(first_name, idx, st.admitted, t_in, admitted=True)
                 st.admitted += 1
                 progress = True
+            if (
+                traced
+                and st.blocked != st.admitted
+                and st.admitted < st.n
+                and self._arrival_time(st, st.admitted) <= now + eps
+            ):
+                # The source holds an arrived frame the full first queue
+                # cannot take: back-pressure has reached the camera.
+                st.blocked = st.admitted
+                k.blocked(first_name, idx, st.admitted, now, len(q))
         return progress
 
     def _next_pending_arrival(self, now: float) -> float | None:
@@ -345,55 +298,32 @@ class PipelineSimulator:
     # ------------------------------------------------------------------
     # out-buffer draining (blocked workers delivering held survivors)
     # ------------------------------------------------------------------
-    def _route(self, spec: StageSpec, stream_idx: int, frame_idx: int):
-        """(queue, stage name) a survivor of ``spec`` flows into.
-
-        Under adaptive depth planning a frame whose stream's plan exits the
-        cascade at ``spec`` skips the remaining filters and goes straight to
-        the merged terminal queue — the same per-frame lookup the threaded
-        engine's routing loop makes.
-        """
-        nxt = self.graph.next(spec.name)
-        if self._plan_routing and self._planner.exits_at(
-            spec.name, stream_idx, frame_idx
-        ):
-            nxt = self.graph.terminal
-        stg = self._stages[nxt.name]
-        q = stg.merged_q if stg.merged_q is not None else stg.queues[stream_idx]
-        return q, nxt.name
-
     def _drain_out_buffers(self, now: float) -> bool:
         progress = False
-        tel = self.telemetry
-        for spec in self.graph.specs[:-1]:
-            stg = self._stages[spec.name]
+        k = self.kernel
+        traced = k.telemetry is not None
+        for stg in self._stages.values():
             for dq in stg.out.values():
                 while dq:
-                    s_idx, f_idx = dq[0]
-                    target, tname = self._route(spec, s_idx, f_idx)
+                    s_idx, f_idx, target, tname = dq[0]
                     if not target.has_room(1):
                         break  # the worker delivers FIFO; head blocks the rest
-                    target.put(dq.popleft())
-                    if tel is not None:
-                        self._stages[tname].enter_t[(s_idx, f_idx)] = now
-                        if tel.bus.enabled:
-                            tel.bus.emit(
-                                "frame_enter", now, tname,
-                                stream=s_idx, frame=f_idx,
-                            )
+                    dq.popleft()
+                    target.put((s_idx, f_idx))
+                    if traced:
+                        k.entered(tname, s_idx, f_idx, now)
                     progress = True
         return progress
 
     # ------------------------------------------------------------------
     # work starting
     # ------------------------------------------------------------------
-    def _device_idle(self, name: str) -> bool:
-        return name not in self._in_service
-
     def _start(self, device_name: str, service: _Service) -> None:
         self._in_service[device_name] = service
-        device = self.placement.devices[device_name]
-        device.busy_time += service.end - service.start
+        # Devices are charged when a service starts, so a run truncated at
+        # its horizon still counts the work in flight.
+        busy = self.kernel.busy
+        busy[device_name] = busy.get(device_name, 0.0) + (service.end - service.start)
         self._stages[service.stage].batch_events += 1
         heapq.heappush(self._heap, (service.end, next(self._seq), device_name))
 
@@ -416,7 +346,7 @@ class PipelineSimulator:
                     return False
             else:
                 for dq in ustg.out.values():
-                    if any(s == stream_idx for s, _ in dq):
+                    if any(held[0] == stream_idx for held in dq):
                         return False
         return True
 
@@ -434,17 +364,9 @@ class PipelineSimulator:
             else:
                 eof = self._upstream_drained(spec, stream_idx)
             return decide_batch(
-                cfg.batch_policy, len(q), self._batch_size_now(), q.depth, eof=eof
+                cfg.batch_policy, len(q), self.kernel.batch_size(), q.depth, eof=eof
             )
         return min(len(q), rule.size)
-
-    def _batch_size_now(self) -> int:
-        """Configured batch size, capped by the planner's live target."""
-        planner = self._planner
-        size = self.config.batch_size
-        if planner is not None and planner.adaptive_batching:
-            size = min(size, planner.batch_target)
-        return size
 
     def _begin(
         self,
@@ -455,25 +377,6 @@ class PipelineSimulator:
         now: float,
     ) -> None:
         stg = self._stages[spec.name]
-        planner = self._planner
-        if planner is None or not planner.active:
-            passes = [bool(stg.passes[s][f]) for s, f in frames]
-        else:
-            # Verdicts under the plan's FilterDegree, observed frame-by-frame
-            # in FIFO order *at evaluation time* — the same contract the
-            # threaded engine keeps (observe after evaluate, before routing),
-            # so a chunk boundary inside this batch decides the next chunk's
-            # plan before any later frame's degree is looked up.
-            is_first = spec.name == self.graph.first.name
-            passes = []
-            for s, f in frames:
-                if spec.name == SNM:
-                    ok = bool(self._degree_mask(spec, stg, s, planner.degree_for(s, f))[f])
-                else:
-                    ok = bool(stg.passes[s][f])
-                if is_first:
-                    planner.observe_first(s, [f], [ok])
-                passes.append(ok)
         for s, _ in frames:
             stg.in_flight[s] += 1
         # Process-pool stages are modeled as idealized linear scaling across
@@ -488,9 +391,18 @@ class PipelineSimulator:
             dt = stage_service_time(
                 spec, self.costs, len(frames), parallelism=parallelism
             )
-        self._start(
-            device_name, _Service(spec.name, stream_idx, frames, passes, now, now + dt)
-        )
+        self._start(device_name, _Service(spec.name, stream_idx, frames, now, now + dt))
+
+    def _verdicts(self, spec: StageSpec, stg: _SimStage, frames: list) -> list:
+        """Pass verdicts of ``spec`` for ``frames``, replayed from the
+        traces — under the stream's planned FilterDegree for SNM."""
+        planner = self.planner
+        if planner is None or spec.name != SNM:
+            return [bool(stg.passes[s][f]) for s, f in frames]
+        return [
+            bool(self._degree_mask(spec, stg, s, planner.degree_for(s, f))[f])
+            for s, f in frames
+        ]
 
     def _degree_mask(
         self, spec: StageSpec, stg: _SimStage, s_idx: int, degree: float
@@ -556,7 +468,7 @@ class PipelineSimulator:
             takes = decide_fused_batch(
                 self.config.batch_policy,
                 lens,
-                self._batch_size_now(),
+                self.kernel.batch_size(),
                 stg.queues[0].depth,
                 eof=eof,
                 start=stg.rr,
@@ -620,8 +532,8 @@ class PipelineSimulator:
         """Start at most one service per idle device, per fixed-point pass."""
         any_started = False
         for device_name, specs in self._dev_stages.items():
-            if not self._device_idle(device_name):
-                continue
+            if device_name in self._in_service:
+                continue  # busy
             for spec in self._stage_order(device_name, specs):
                 if self._try_start_stage(device_name, spec, now):
                     self._dev_last[device_name] = spec.name
@@ -645,84 +557,64 @@ class PipelineSimulator:
         svc = self._in_service.pop(device_name)
         spec = self.graph[svc.stage]
         stg = self._stages[svc.stage]
-        n_in = len(svc.frames)
-        n_pass = int(sum(svc.passes))
-        self.metrics.stages[svc.stage].record(n_in, n_pass)
-        stg.frames_done += n_in
-        if self.record_events:
-            self.events.append(
-                (svc.start, svc.end, device_name, svc.stage, svc.stream_idx, n_in, n_pass)
-            )
-        tel = self.telemetry
-        emit = tel is not None and tel.bus.enabled
-        if tel is not None:
-            tel.observe_latency(
-                "stage_exec_seconds", svc.end - svc.start, stage=svc.stage
-            )
-            # Per-frame wait/service attribution on the virtual clock — the
-            # exact twin of the threaded runtime's stage_wait_seconds /
-            # stage_service_seconds observations.
-            service = svc.end - svc.start
-            for key in svc.frames:
-                t_en = stg.enter_t.pop(key, svc.start)
-                tel.observe_latency(
-                    "stage_wait_seconds", svc.start - t_en, stage=svc.stage
-                )
-                tel.observe_latency(
-                    "stage_service_seconds", service, stage=svc.stage
-                )
-        if emit:
-            tel.bus.emit(
-                "batch_exec", now, svc.stage,
-                stream=svc.stream_idx, t_start=svc.start, n=n_in,
-            )
-
+        k = self.kernel
+        traced = k.telemetry is not None
         out_key = svc.stream_idx if spec.fan_in == PER_STREAM else device_name
-        is_first = svc.stage == self.graph.first.name
-        for (s_idx, f_idx), ok in zip(svc.frames, svc.passes):
-            st = self.streams[s_idx]
-            stg.in_flight[s_idx] -= 1
-            if is_first and ok:
-                self._first_pass[s_idx] += 1
-            if emit:
-                tel.bus.emit(
-                    "frame_pass" if (spec.terminal or ok) else "frame_filter",
-                    now, svc.stage, stream=s_idx, frame=f_idx, t_start=svc.start,
-                )
-            if spec.terminal:
-                st.analyzed += 1
-                st.finish_time = max(st.finish_time, now)
-                self.metrics.frames_to_ref += 1
-                latency = now - self._latency_base(st, f_idx)
-                self._ref_latencies.append(latency)
-                if self.store is not None:
-                    self._store_row(st, f_idx, svc.stage)
-                if tel is not None:
-                    tel.observe_latency(
-                        "frame_latency_seconds", latency, stage=svc.stage
-                    )
-            elif ok:
-                target, tname = self._route(spec, s_idx, f_idx)
-                held = stg.out.get(out_key)
-                if target.has_room(1) and not held:
+        n_pass = 0
+        # Verdicts are taken as the service completes and settled before any
+        # frame is routed — the threaded engine's contract (evaluate, settle,
+        # route), group by plan-homogeneous group, so a chunk boundary inside
+        # the batch decides the next chunk's plan before its verdicts.
+        for frames in k.plan_groups(spec, svc.frames):
+            passes = self._verdicts(spec, stg, frames)
+            n_pass += sum(passes)
+            k.settle(spec, frames, passes, svc.start, now, svc.end - svc.start)
+            for (s_idx, f_idx), ok in zip(frames, passes):
+                stg.in_flight[s_idx] -= 1
+                if spec.terminal or not ok:
+                    self._dispose(s_idx, f_idx, now, svc.stage, spec.terminal)
+                    continue
+                # The kernel picks the stage (next, or the plan's early
+                # exit); the survivor lands in this stream's queue there.
+                tname = k.target(spec, s_idx, f_idx).name
+                tstg = self._stages[tname]
+                target = tstg.merged_q if tstg.merged_q is not None else tstg.queues[s_idx]
+                if target.has_room(1) and not stg.out.get(out_key):
                     target.put((s_idx, f_idx))
-                    if tel is not None:
-                        self._stages[tname].enter_t[(s_idx, f_idx)] = now
-                        if emit:
-                            tel.bus.emit(
-                                "frame_enter", now, tname, stream=s_idx, frame=f_idx
-                            )
+                    if traced:
+                        k.entered(tname, s_idx, f_idx, now)
                 else:
                     # The worker is blocked on a full downstream queue and
                     # holds the survivor in its out-buffer.
-                    if emit:
-                        tel.bus.emit(
-                            "queue_block", now, tname,
-                            stream=s_idx, frame=f_idx, n=len(target),
-                        )
-                    stg.out.setdefault(out_key, deque()).append((s_idx, f_idx))
-            else:
-                self._drop_frame(st, f_idx, now, stage=svc.stage)
+                    if traced:
+                        k.blocked(tname, s_idx, f_idx, now, len(target))
+                    stg.out.setdefault(out_key, deque()).append((s_idx, f_idx, target, tname))
+        if self.record_events:
+            self.events.append(
+                (svc.start, svc.end, device_name, svc.stage, svc.stream_idx,
+                 len(svc.frames), n_pass)
+            )
+
+    def _dispose(
+        self, s_idx: int, f_idx: int, now: float, stage: str, analyzed: bool
+    ) -> None:
+        """A frame's journey ends at ``stage``: analyzed by the terminal
+        stage (its score is the trace's precomputed reference count, the
+        value the threaded engine computes live), or filtered out there."""
+        st = self.streams[s_idx]
+        st.finish_time = max(st.finish_time, now)
+        latency = now - self._latency_base(st, f_idx)
+        score = 0.0
+        if analyzed:
+            st.analyzed += 1
+            self.metrics.frames_to_ref += 1
+            self._ref_latencies.append(latency)
+            if st.trace.ref_count is not None:
+                score = float(st.trace.ref_count[f_idx])
+        else:
+            st.dropped += 1
+            self._drop_latencies.append(latency)
+        self.kernel.record(s_idx, f_idx, stage, latency, score)
 
     def _latency_base(self, st: _StreamState, f_idx: int) -> float:
         """Reference point for latency: arrival when online (the user's
@@ -732,87 +624,6 @@ class PipelineSimulator:
         if self.online:
             return self._arrival_time(st, f_idx)
         return float(st.ingest_time[f_idx])
-
-    def _store_row(self, st: _StreamState, f_idx: int, stage: str) -> None:
-        """One durable row per frame outcome — the virtual-clock twin of the
-        threaded engine's sink.  Time is *stream time* on the global frame
-        index (``arrival_offset`` restores it for handed-off tails), and the
-        terminal score is the trace's precomputed reference count, so both
-        runtimes write identical rows for the same workload."""
-        tr = st.trace
-        g = st.arrival_offset + f_idx
-        is_terminal = stage == self.graph.terminal.name
-        score = 0.0
-        if is_terminal and tr.ref_count is not None:
-            score = float(tr.ref_count[f_idx])
-        self.store.append(
-            DetectionRecord(
-                stream=tr.stream_id,
-                frame=g,
-                t=g / tr.fps,
-                cls=tr.kind,
-                box=None,
-                score=score,
-                disposition=stage,
-            )
-        )
-
-    def _drop_frame(
-        self, st: _StreamState, f_idx: int, now: float, stage: str = "dropped"
-    ) -> None:
-        st.dropped += 1
-        st.finish_time = max(st.finish_time, now)
-        latency = now - self._latency_base(st, f_idx)
-        self._drop_latencies.append(latency)
-        if self.store is not None:
-            self._store_row(st, f_idx, stage)
-        tel = self.telemetry
-        if tel is not None:
-            tel.observe_latency("frame_latency_seconds", latency, stage=stage)
-
-    # ------------------------------------------------------------------
-    # time-series sampling (telemetry only)
-    # ------------------------------------------------------------------
-    def _sample(self, now: float, *, force: bool = False) -> None:
-        tel = self.telemetry
-        gauges: dict[str, float] = {}
-        done: dict[str, int] = {}
-        for spec in self.graph:
-            stg = self._stages[spec.name]
-            done[spec.name] = stg.frames_done
-            if stg.merged_q is not None:
-                gauges[f"queue_depth[{spec.name}]"] = len(stg.merged_q)
-            else:
-                for i, q in enumerate(stg.queues):
-                    gauges[f"queue_depth[{spec.name}[{i}]]"] = len(q)
-            if stg.mosaic_stats is not None:
-                gauges[f"mosaic_fill_ratio[{spec.name}]"] = stg.mosaic_stats.fill_ratio()
-                gauges[f"mosaic_regions_per_canvas[{spec.name}]"] = (
-                    stg.mosaic_stats.regions_per_canvas()
-                )
-        busy = {name: dev.busy_time for name, dev in self.placement.devices.items()}
-        prev = self._prev_sample
-        dt = now - prev["t"]
-        if dt > 0:
-            for stage, n in done.items():
-                gauges[f"stage_fps[{stage}]"] = (n - prev["done"].get(stage, 0)) / dt
-            for device, b in busy.items():
-                gauges[f"device_utilization[{device}]"] = min(
-                    1.0, (b - prev["busy"].get(device, 0.0)) / dt
-                )
-        tel.sampler.observe_many(now, gauges, force=force)
-        self._prev_sample = {"t": now, "done": done, "busy": busy}
-
-    def _observe_planner_queues(self, now: float) -> None:
-        gauges: dict[str, float] = {}
-        for spec in self.graph:
-            stg = self._stages[spec.name]
-            if stg.merged_q is not None:
-                gauges[f"queue_depth[{spec.name}]"] = len(stg.merged_q)
-            else:
-                for i, q in enumerate(stg.queues):
-                    gauges[f"queue_depth[{spec.name}[{i}]]"] = len(q)
-        self._planner.sampler.observe_many(now, gauges)
 
     # ------------------------------------------------------------------
     # cluster-instance control (attach / detach)
@@ -825,26 +636,14 @@ class PipelineSimulator:
         frames arrive on the *original* stream's clock via
         ``arrival_offset`` (global index of the trace's first frame).
         """
-        if self._planner is not None:
+        if self.planner is not None:
             # The planner's chunk accounting assumes a fixed stream roster
             # (the threaded engine rejects reserve_slots for the same reason).
             raise ValueError("attach_stream is incompatible with plan='adaptive'")
         idx = len(self.streams)
-        st = _StreamState(trace=trace, n=len(trace), arrival_offset=arrival_offset)
-        st.ingest_time = np.full(st.n, np.nan)
-        self.streams.append(st)
-        for spec in self.graph:
-            stg = self._stages[spec.name]
-            stg.passes.append(
-                np.asarray(spec.logic.trace_mask(trace, self.config), dtype=bool)
-            )
-            stg.in_flight.append(0)
-            if stg.merged_q is None:
-                stg.queues.append(SimQueue(self._depth_for(spec), f"{spec.name}[{idx}]"))
-            if spec.mosaic:
-                stg.regions.append(trace.regions_by_frame())
-        self._first_pass.append(0)
-        self.metrics.n_streams += 1
+        self._new_stream(trace, arrival_offset)
+        for stg in self._stages.values():
+            self._extend_stage(stg, [trace], range(idx, idx + 1))
         return idx
 
     def detach_stream(self, idx: int) -> int:
@@ -858,11 +657,9 @@ class PipelineSimulator:
 
     def stream_costs(self) -> dict[str, int]:
         """stream_id -> frames past the first stage, active streams only."""
-        return {
-            st.trace.stream_id: self._first_pass[i]
-            for i, st in enumerate(self.streams)
-            if st.active
-        }
+        return self.kernel.stream_costs(
+            i for i, st in enumerate(self.streams) if st.active
+        )
 
     # ------------------------------------------------------------------
     # main loop
@@ -876,21 +673,12 @@ class PipelineSimulator:
         """
         now = self._now
         inf = float("inf")
-        sample = self.telemetry is not None
-        planner = self._planner
-        batching = planner is not None and planner.adaptive_batching
+        k = self.kernel
+        sampler = k.sampler
         while True:
             self._start_all(now)
-            if sample and self.telemetry.sampler.due(now):
-                self._sample(now)
-                self.admission.poll(now)
-                if planner is not None:
-                    planner.poll(now)
-            elif batching and planner.sampler.due(now):
-                # Telemetry off: feed the planner's private sampler the same
-                # queue-depth gauges the telemetry sweep would have recorded.
-                self._observe_planner_queues(now)
-                planner.poll(now)
+            if sampler is not None and sampler.due(now):
+                k.sweep(now)
             if all(st.finished for st in self.streams):
                 break
             t_heap = self._heap[0][0] if self._heap else inf
@@ -910,89 +698,37 @@ class PipelineSimulator:
         self._now = now
         return now
 
-    def finalize(self, max_virtual_time: float | None = None) -> RunMetrics:
-        """Close out an :meth:`advance`-driven run and return metrics."""
-        return self._finalize(self._now, max_virtual_time)
-
     def run(self, max_virtual_time: float | None = None) -> RunMetrics:
         """Simulate until all frames are processed (or the horizon ends)."""
         self.advance(max_virtual_time)
-        return self._finalize(self._now, max_virtual_time)
+        return self.finalize(max_virtual_time)
 
-    def _finalize(self, now: float, max_virtual_time: float | None) -> RunMetrics:
+    def finalize(self, max_virtual_time: float | None = None) -> RunMetrics:
+        """Close out an :meth:`advance`-driven run and return metrics."""
+        now = self._now
         if self.store is not None:
             self.store.close()  # idempotent: advance()/finalize() may repeat
+        self.kernel.sweep(now, force=True)
         m = self.metrics
-        m.duration = now
         m.frames_offered = sum(st.n for st in self.streams)
         m.frames_ingested = sum(st.admitted for st in self.streams)
         m.ref_latency = LatencyStats.from_samples(self._ref_latencies)
         m.frame_latency = LatencyStats.from_samples(
             self._drop_latencies + self._ref_latencies
         )
-        m.device_utilization = {
-            name: dev.utilization(m.duration)
-            for name, dev in self.placement.devices.items()
-        }
-        qhw: dict[str, int] = {}
-        for spec in self.graph:
-            stg = self._stages[spec.name]
-            if stg.merged_q is not None:
-                qhw[spec.name] = stg.merged_q.high_water
-            else:
-                for i, q in enumerate(stg.queues):
-                    qhw[f"{spec.name}[{i}]"] = q.high_water
-        m.queue_high_water = qhw
         m.extra["per_stream_ingested"] = [st.admitted for st in self.streams]
         m.extra["per_stream_done"] = [st.dropped + st.analyzed for st in self.streams]
         m.extra["per_stream_finish_time"] = [st.finish_time for st in self.streams]
-        for spec in self.graph:
-            stg = self._stages[spec.name]
-            m.extra[f"{spec.name}_fps"] = (
-                stg.frames_done / m.duration if m.duration > 0 else 0.0
-            )
+        for name, stg in self._stages.items():
+            entered = m.stages[name].entered
+            m.extra[f"{name}_fps"] = entered / now if now > 0 else 0.0
             if stg.batch_events:
-                m.extra[f"mean_{spec.name}_batch"] = (
-                    m.stages[spec.name].entered / stg.batch_events
-                )
-            if stg.mosaic_stats is not None:
-                m.extra["mosaic"] = stg.mosaic_stats.as_dict()
+                m.extra[f"mean_{name}_batch"] = entered / stg.batch_events
         m.extra["truncated"] = (
             max_virtual_time is not None
             and not all(st.finished for st in self.streams)
         )
-        if self.telemetry is not None:
-            self._sample(now, force=True)
-            self.admission.poll(now)
-            m.extra["telemetry"] = self.telemetry.bus.stats()
-            m.extra["admission"] = self.admission.summary()
-            m.extra["lineage"] = lineage_section(
-                self.telemetry, terminal=self.graph.terminal.name
-            )
-        if self._planner is not None:
-            self._planner.poll(now)
-            m.extra["qplan"] = self._planner.summary()
-        return m
-
-    def lineage_context(self) -> dict:
-        """Stream-resolution context for the ``/lineage`` endpoint.
-
-        Simulator events carry *local* frame indices; a stream attached
-        mid-run (cluster handoff twin) reports its ``arrival_offset`` so the
-        endpoint can translate a global frame number into the local index
-        its events use.
-        """
-        streams = {
-            st.trace.stream_id: {"index": i, "offset": st.arrival_offset}
-            for i, st in enumerate(self.streams)
-        }
-        return {
-            "terminal": self.graph.terminal.name,
-            "streams": streams,
-            "qplan": (
-                self._planner.summary() if self._planner is not None else None
-            ),
-        }
+        return self.kernel.finish(now)
 
 
 def simulate_offline(

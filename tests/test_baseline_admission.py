@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baseline import BaselineSimulator, baseline_offline, baseline_online
+from repro.baseline import baseline_offline, baseline_online
 from repro.core.admission import (
     AdmissionController,
     InstanceGroup,
@@ -10,6 +10,7 @@ from repro.core.admission import (
 )
 from repro.core.config import FFSVAConfig
 from repro.core.metrics import RunMetrics
+from repro.obs import Telemetry
 from repro.sim import simulate_online
 
 from tests.helpers import make_synth_trace
@@ -50,12 +51,48 @@ class TestBaseline:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            BaselineSimulator([])
+            baseline_offline([])
 
     def test_utilization_split_across_gpus(self):
         m = baseline_offline(traces_for(1, n=1500))
         u = m.device_utilization
         assert u["gpu0"] > 0.9 and u["gpu1"] > 0.9
+
+    def test_golden_numbers_of_the_dedicated_event_loop(self):
+        # The baseline used to be its own hand-written event loop;
+        # it is now the ref-only cascade on baseline_placement().  These are
+        # that loop's numbers, recorded before it was deleted.
+        m = baseline_offline(traces_for(1))
+        assert m.duration == pytest.approx(7.805418, abs=1e-6)
+        assert m.throughput_fps == pytest.approx(115.305, abs=1e-3)
+        assert m.device_utilization["gpu0"] == pytest.approx(1.0)
+        assert m.device_utilization["gpu1"] == pytest.approx(1.0)
+
+        m = baseline_online(traces_for(3))
+        assert m.duration == pytest.approx(30.001357, abs=1e-6)
+        assert m.frames_ingested == 2700 and m.realtime()
+        assert m.device_utilization["gpu0"] == pytest.approx(0.7805, abs=1e-4)
+        assert m.device_utilization["gpu1"] == pytest.approx(0.7805, abs=1e-4)
+
+        m = baseline_online(traces_for(8))
+        assert m.duration == pytest.approx(32.0)
+        assert (m.frames_ingested, m.frames_to_ref) == (3698, 3688)
+        assert not m.realtime()
+
+        telemetry = Telemetry()
+        baseline_online(traces_for(2, n=300), telemetry=telemetry)
+        counts = telemetry.bus.counts
+        for kind in ("admission", "frame_enter", "batch_exec", "frame_pass"):
+            assert counts[kind] == 600, kind
+
+    def test_offline_latency_is_residence_not_clip_length(self):
+        # Offline every frame "arrives" at t=0; measuring from there made the
+        # mean grow with the clip (3.9 s for 900 frames, 7.8 s for 1800).
+        # Measured from ingest it is pipeline residence, whatever the length.
+        short = baseline_offline(traces_for(1, n=900)).ref_latency.mean
+        long = baseline_offline(traces_for(1, n=1800)).ref_latency.mean
+        assert short == pytest.approx(long, rel=0.05)
+        assert short < 0.2
 
 
 class TestAdmissionController:

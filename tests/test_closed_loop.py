@@ -19,7 +19,7 @@ import json
 
 import pytest
 
-from repro.baseline import BaselineSimulator, baseline_offline
+from repro.baseline import baseline_offline, baseline_online
 from repro.core import FFSVAConfig, build_trace
 from repro.core.pipeline import STAGES
 from repro.models import ModelZoo
@@ -132,8 +132,7 @@ def _baseline_traces(n_streams, n=300, seed=0):
 class TestBaselineTelemetry:
     def test_emits_shared_event_schema(self):
         telemetry = Telemetry()
-        sim = BaselineSimulator(_baseline_traces(2), online=True, telemetry=telemetry)
-        sim.run()
+        baseline_online(_baseline_traces(2), telemetry=telemetry)
         kinds = {e.kind for e in telemetry.bus.events()}
         assert kinds <= set(EVENT_KINDS)
         assert {"admission", "frame_enter", "batch_exec", "frame_pass"} <= kinds
@@ -141,8 +140,7 @@ class TestBaselineTelemetry:
     def test_blocked_streams_emit_queue_block(self):
         # Overload the two GPUs so the ref queue backs up.
         telemetry = Telemetry()
-        sim = BaselineSimulator(_baseline_traces(8), online=True, telemetry=telemetry)
-        sim.run(max_virtual_time=10.0)
+        baseline_online(_baseline_traces(8), telemetry=telemetry)
         kinds = {e.kind for e in telemetry.bus.events()}
         assert "queue_block" in kinds
 
@@ -159,7 +157,7 @@ class TestBaselineTelemetry:
 
     def test_spans_build_from_baseline_events(self):
         telemetry = Telemetry()
-        BaselineSimulator(_baseline_traces(1, n=120), telemetry=telemetry).run()
+        baseline_online(_baseline_traces(1, n=120), telemetry=telemetry)
         spans = build_spans(telemetry.bus.events(), terminal="ref")
         analyzed = [s for s in spans if s.disposition == "analyzed"]
         assert len(analyzed) == 120
@@ -171,7 +169,7 @@ class TestBaselineTelemetry:
         tel_ffsva = Telemetry()
         PipelineSimulator(traces, _loop_config(), online=False, telemetry=tel_ffsva).run()
         tel_base = Telemetry()
-        BaselineSimulator(_baseline_traces(1, n=120), telemetry=tel_base).run()
+        baseline_online(_baseline_traces(1, n=120), telemetry=tel_base)
         merged = overlay_chrome_trace(
             {"ffsva": tel_ffsva.spans(), "baseline": tel_base.spans()}
         )

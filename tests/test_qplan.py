@@ -138,9 +138,9 @@ class TestReplayDeterminism:
         cfg = _plan_config()
         sim = PipelineSimulator(traces, cfg, online=False)
         sim.run()
-        live = sim._planner.sorted_decisions()
+        live = sim.planner.sorted_decisions()
         assert live, "expected at least one plan transition"
-        replayed = replay_decisions(sim._planner.sampler, cfg)
+        replayed = replay_decisions(sim.planner.sampler, cfg)
         assert replayed == live
 
     def test_replay_from_shared_telemetry_sampler(self, fleet):
@@ -150,8 +150,8 @@ class TestReplayDeterminism:
         cfg = _plan_config(telemetry=True)
         sim = PipelineSimulator(traces, cfg, online=False)
         sim.run()
-        assert replay_decisions(sim._planner.sampler, cfg) == (
-            sim._planner.sorted_decisions()
+        assert replay_decisions(sim.planner.sampler, cfg) == (
+            sim.planner.sorted_decisions()
         )
 
 
@@ -164,8 +164,8 @@ class TestCrossRuntime:
         sim = PipelineSimulator(traces, cfg, online=False)
         m_sim = sim.run()
         assert_stage_counts_equal(m_eng, m_sim)
-        log_eng = eng._planner.decision_labels()
-        log_sim = sim._planner.decision_labels()
+        log_eng = eng.planner.decision_labels()
+        log_sim = sim.planner.decision_labels()
         assert log_eng == log_sim
         assert log_eng, "expected plan transitions on the quiet/busy mix"
         # The quiet stream must have relaxed below full depth at some point.

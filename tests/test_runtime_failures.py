@@ -90,6 +90,16 @@ class TestFailurePropagation:
         assert not any(o.stage == ABORTED for o in pipe.outcomes)
         m.check_conservation()
 
+    def test_run_is_single_use(self, trained):
+        # Queues stay closed after a run; a second run() used to return
+        # normally with every frame "dropped" and twice the outcomes offered.
+        stream, zoo = trained
+        pipe = ThreadedPipeline([stream], zoo, FFSVAConfig(batch_size=4))
+        pipe.run(n_frames=60)
+        with pytest.raises(RuntimeError, match="single-use"):
+            pipe.run(n_frames=60)
+        assert len(pipe.outcomes) == pipe.metrics.frames_offered == 60
+
 
 def _faulty_graph(fail_after: int) -> StageGraph:
     """The paper's cascade with an injected mid-pipeline stage that fails
