@@ -22,7 +22,22 @@ from __future__ import annotations
 
 from .config import FFSVAConfig
 
-__all__ = ["decide_batch", "decide_fused_batch", "fused_pop_order", "batch_wait_bound"]
+__all__ = ["batch_floor", "decide_batch", "decide_fused_batch", "fused_pop_order", "batch_wait_bound"]
+
+
+def batch_floor(policy: str, batch_size: int, queue_depth: int | None) -> int:
+    """Fewest queued frames a worker waits for before it takes a batch:
+    :func:`decide_batch` takes nothing below it (end of stream aside), and
+    the simulator wakes a worker when its queue reaches it."""
+    if policy == "dynamic":
+        return 1
+    if policy == "static":
+        return batch_size
+    if policy == "feedback":
+        # Full batches, but a bounded queue can never hold more than its
+        # depth: the effective batch target is capped by the threshold.
+        return batch_size if queue_depth is None else min(batch_size, queue_depth)
+    raise ValueError(f"unknown batch policy {policy!r}")
 
 
 def decide_batch(
@@ -56,16 +71,10 @@ def decide_batch(
     if eof:
         return min(queue_len, batch_size)
 
-    if policy == "static":
-        return batch_size if queue_len >= batch_size else 0
-    if policy == "feedback":
-        # Full batches, but a bounded queue can never hold more than its
-        # depth: the effective batch target is capped by the threshold.
-        target = batch_size if queue_depth is None else min(batch_size, queue_depth)
-        return target if queue_len >= target else 0
-    if policy == "dynamic":
-        return min(queue_len, batch_size)
-    raise ValueError(f"unknown batch policy {policy!r}")
+    floor = batch_floor(policy, batch_size, queue_depth)
+    if queue_len < floor:
+        return 0
+    return min(queue_len, batch_size) if policy == "dynamic" else floor
 
 
 def decide_fused_batch(

@@ -33,10 +33,9 @@ class QueueClosed(Exception):
 class SimQueue:
     """Bounded FIFO for the discrete-event simulator (no locking).
 
-    Supports **slot reservations**: when a stage starts a batch whose
-    surviving frames will land in this queue at completion time, the
-    simulator reserves the slots up front so concurrent stages cannot
-    oversubscribe the depth threshold while the batch is in flight.
+    The simulator's event loop checks :meth:`has_room` before every
+    :meth:`put` (a producer without room holds the frame and waits for a
+    dequeue), so ``put`` over the depth threshold is a bug and raises.
     Tracks high-water depth for diagnostics.
     """
 
@@ -46,7 +45,6 @@ class SimQueue:
         self.depth = depth
         self.name = name
         self._items: deque = deque()
-        self.reserved = 0
         self.high_water = 0
         self.total_in = 0
 
@@ -59,41 +57,18 @@ class SimQueue:
 
     def has_room(self, n: int = 1) -> bool:
         """True if ``n`` more items fit under the depth threshold."""
-        return self.depth is None or len(self._items) + self.reserved + n <= self.depth
+        return self.depth is None or len(self._items) + n <= self.depth
 
-    def free_slots(self) -> int | None:
-        """Unreserved remaining capacity, or None when unbounded."""
-        if self.depth is None:
-            return None
-        return max(0, self.depth - len(self._items) - self.reserved)
-
-    def reserve(self, n: int) -> bool:
-        """Reserve ``n`` slots for an in-flight batch (False if no room)."""
-        if n < 0:
-            raise ValueError("cannot reserve a negative slot count")
-        if not self.has_room(n):
-            return False
-        self.reserved += n
-        return True
-
-    def put(self, item: Any, *, reserved: bool = False) -> None:
-        """Append an item, consuming a prior reservation when ``reserved``."""
-        if reserved:
-            if self.reserved <= 0:
-                raise RuntimeError(f"queue {self.name}: put(reserved=True) without reservation")
-            self.reserved -= 1
-        elif not self.has_room(1):
+    def put(self, item: Any) -> None:
+        if not self.has_room(1):
             raise OverflowError(f"queue {self.name} over depth {self.depth}")
         self._items.append(item)
         self.total_in += 1
         self.high_water = max(self.high_water, len(self._items))
 
-    def put_many(self, items: Iterable[Any], *, reserved: bool = False) -> None:
+    def put_many(self, items: Iterable[Any]) -> None:
         for item in items:
-            self.put(item, reserved=reserved)
-
-    def peek(self) -> Any:
-        return self._items[0]
+            self.put(item)
 
     def pop(self) -> Any:
         return self._items.popleft()

@@ -40,12 +40,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.batching import decide_batch, decide_fused_batch, fused_pop_order
+from ..core.batching import batch_floor, decide_batch, decide_fused_batch, fused_pop_order
 from ..core.config import FFSVAConfig
 from ..core.kernel import CascadeKernel, StreamInfo
 from ..core.metrics import LatencyStats, RunMetrics
@@ -74,14 +75,7 @@ __all__ = ["PipelineSimulator", "simulate_offline", "simulate_online"]
 
 @dataclass
 class _StreamState:
-    """Mutable per-stream simulation state.
-
-    ``arrival_offset`` shifts the arrival clock for a stream attached
-    mid-run via :meth:`PipelineSimulator.attach_stream`: local frame ``j``
-    of a re-forwarded tail trace arrives when *global* frame
-    ``arrival_offset + j`` of the original stream would have — the same
-    frame-boundary contract the threaded cluster's handoff keeps.
-    """
+    """Mutable per-stream simulation state."""
 
     trace: FrameTrace
     n: int
@@ -89,7 +83,6 @@ class _StreamState:
     dropped: int = 0  # frames filtered out at some stage
     analyzed: int = 0  # frames fully processed by the terminal stage
     finish_time: float = 0.0  # virtual time the last frame was disposed of
-    arrival_offset: int = 0  # global index of local frame 0
     #: Head-of-line frame last reported as blocked at the source: the
     #: fixed-point loop retries admission many times per instant, and one
     #: stalled frame is one ``queue_block``.
@@ -100,13 +93,34 @@ class _StreamState:
         self.ingest_time = np.full(self.n, np.nan)
 
     @property
-    def finished(self) -> bool:
-        return self.dropped + self.analyzed == self.n
-
-    @property
     def active(self) -> bool:
         """Still has frames to offer (re-forwardable)."""
         return self.admitted < self.n
+
+
+class _StageQueue(SimQueue):
+    """A stage input queue that knows whom its state changes wake."""
+
+    def __init__(self, depth: int | None, name: str):
+        super().__init__(depth, name)
+        self.stage: _SimStage | None = None
+        #: The stream whose worker this queue can make startable; None when
+        #: one worker pools the stage's queue(s) (merged and fused stages).
+        self.stream: int | None = None
+        #: Producers that found it full, retried when it dequeues: source
+        #: indices on a first-stage queue, :class:`_OutBuffer` s elsewhere.
+        self.waiters: list = []
+
+
+@dataclass
+class _OutBuffer:
+    """Survivors one blocked worker holds, in delivery order, each with the
+    queue it was routed to at settlement: ``(stream, frame, queue, stage)``."""
+
+    rank: tuple  # (stage position, first-block order): the drain order
+    stage: _SimStage
+    key: object  # the worker: stream index (per_stream) or device name
+    held: deque = field(default_factory=deque)
 
 
 @dataclass
@@ -119,27 +133,33 @@ class _SimStage:
     """
 
     spec: StageSpec
+    pos: int  # position in graph order
+    arb_time: float  # per-frame service time device arbitration weighs by
     passes: list  # ndarray[bool] per stream
     queues: list = field(default_factory=list)  # per-stream (empty if merged)
     merged_q: SimQueue | None = None
-    #: Survivors a blocked worker holds, each with the queue it was routed
-    #: to at settlement — ``(stream, frame, queue, stage name)``: keyed by
-    #: stream index for ``per_stream`` stages (each stream has its own
-    #: worker), by device name otherwise (one worker per hosting device).
+    #: Worker -> its :class:`_OutBuffer`, created at the worker's first
+    #: block: keyed by stream index for ``per_stream`` stages (each stream
+    #: has its own worker), by device name otherwise (one per hosting device).
     out: dict = field(default_factory=dict)
     in_flight: list = field(default_factory=list)  # per-stream counts
     rr: int = 0  # round-robin cursor over streams
     batch_events: int = 0
+    queued: int = 0  # frames in the input queue(s), kept by en/dequeue
+    floor: int = 1  # fewest queued frames any batch here waits for (batch_floor)
+    #: ``per_stream`` / ``shared_rr`` only — sorted stream indices whose
+    #: queue a worker could take a batch from (see ``_refresh``).
+    startable: list = field(default_factory=list)
     #: Mosaic stages only: per-stream ``regions_by_frame()`` lists (``None``
     #: for a trace without recorded regions — whole-frame fallback) and the
     #: running consolidation statistics.
     regions: list | None = None
     mosaic_stats: MosaicStats | None = None
 
-    def queued(self) -> int:
-        if self.merged_q is not None:
-            return len(self.merged_q)
-        return sum(len(q) for q in self.queues)
+    def holding(self, key) -> bool:
+        """Is worker ``key`` blocked with survivors in its hands?"""
+        ob = self.out.get(key)
+        return ob is not None and bool(ob.held)
 
 
 @dataclass
@@ -152,7 +172,16 @@ class _Service:
 
 
 class PipelineSimulator:
-    """One FFS-VA instance processing a fixed set of stream traces."""
+    """One FFS-VA instance processing a fixed set of stream traces.
+
+    Each instant runs three phases to a fixed point — admit arrived frames,
+    deliver held survivors, start idle devices — and each phase visits only
+    its *ready set*, kept where state changes (:meth:`_enqueue`,
+    :meth:`_dequeue`, an out-buffer filling or emptying, the clock reaching
+    an arrival).  Invariant: **a skipped visit is one a scan of every stream
+    and stage would have made as a no-op**, and visits keep the scan's order,
+    so virtual results are the scan's (DESIGN.md "Ready sets").
+    """
 
     def __init__(
         self,
@@ -187,15 +216,32 @@ class PipelineSimulator:
         self.online = online
 
         self.streams: list[_StreamState] = []
+        self._pending = 0  # offered frames without a disposition yet
+        #: Heap of ``(arrival time, stream)``, one per source whose head frame
+        #: is still to come (a detached stream's entry is skipped lazily).
+        self._arrivals: list = []
+        #: Sources / out-buffers woken since their phase last ran.
+        self._src_ready: list = []
+        self._out_ready: list = []
         for trace in traces:
             self._new_stream(trace)
         self._stages: dict[str, _SimStage] = {}
-        for spec in self.graph:
-            stg = self._stages[spec.name] = _SimStage(spec=spec, passes=[])
+        # Adaptive batching retargets anywhere in 1..BatchSize at a sweep.
+        adaptive = k.planner is not None and k.planner.adaptive_batching
+        for pos, spec in enumerate(self.graph):
+            arb = stage_per_frame_time(spec, self.costs, arbitration_batch(spec, self.config))
+            stg = self._stages[spec.name] = _SimStage(spec, pos, arb, passes=[])
             if spec.mosaic:
                 stg.regions = []
                 stg.mosaic_stats = k.mosaic[spec.name] = MosaicStats()
             self._extend_stage(stg, traces, range(len(traces)))
+            if spec.batch.kind == "config":
+                stg.floor = batch_floor(
+                    self.config.batch_policy,
+                    1 if adaptive else self.config.batch_size,
+                    (stg.queues or [stg.merged_q])[0].depth,
+                )
+        self._first = self._stages[self.graph.first.name]
 
         # Device -> stages hosted there (graph order).
         self._dev_stages: dict[str, list[StageSpec]] = {}
@@ -223,12 +269,14 @@ class PipelineSimulator:
     # graph-driven construction helpers
     # ------------------------------------------------------------------
     def _new_stream(self, trace: FrameTrace, arrival_offset: int = 0) -> None:
-        self.streams.append(
-            _StreamState(trace=trace, n=len(trace), arrival_offset=arrival_offset)
-        )
+        idx = len(self.streams)
+        self.streams.append(_StreamState(trace=trace, n=len(trace)))
         self.kernel.add_stream(
             StreamInfo(trace.stream_id, trace.fps, trace.kind, arrival_offset)
         )
+        self._pending += len(trace)
+        if len(trace):
+            heapq.heappush(self._arrivals, (self._arrival_time(idx, 0), idx))
 
     def _extend_stage(self, stg: _SimStage, traces: list[FrameTrace], slots: range) -> None:
         """Give ``stg`` pass masks, in-flight counters and input queues for
@@ -238,81 +286,161 @@ class PipelineSimulator:
             np.asarray(spec.logic.trace_mask(t, self.config), dtype=bool) for t in traces
         ]
         stg.in_flight += [0] * len(traces)
+        made = []
         if spec.fan_in != MERGED:
-            stg.queues += self.kernel.make_queues(spec, SimQueue, slots)
+            made = self.kernel.make_queues(spec, _StageQueue, slots)
+            stg.queues += made
         elif stg.merged_q is None:
-            stg.merged_q = self.kernel.make_queues(spec, SimQueue, slots)[0]
+            made = self.kernel.make_queues(spec, _StageQueue, slots)
+            stg.merged_q = made[0]
+        for q, slot in zip(made, slots):
+            q.stage = stg
+            q.stream = slot if spec.fan_in in (PER_STREAM, SHARED_RR) else None
         if spec.mosaic:
             stg.regions += [t.regions_by_frame() for t in traces]
 
     # ------------------------------------------------------------------
+    # ready-set maintenance: the only places queue state changes
+    # ------------------------------------------------------------------
+    def _enqueue(self, q: _StageQueue, s_idx: int, f_idx: int) -> None:
+        """A frame lands in stage queue ``q`` (the caller saw room)."""
+        q.put((s_idx, f_idx))
+        stg = q.stage
+        stg.queued += 1
+        if q.stream is not None and len(q) <= stg.floor:  # above it, nothing changes
+            self._refresh(stg, q.stream)
+
+    def _dequeue(self, q: _StageQueue, n: int) -> list:
+        """A worker takes ``n`` frames off ``q``; whoever waited for room
+        there is retried in its phase of the next fixed-point pass."""
+        frames = q.pop_batch(n)
+        stg = q.stage
+        stg.queued -= len(frames)
+        if q.waiters:
+            (self._src_ready if stg is self._first else self._out_ready).extend(q.waiters)
+            q.waiters.clear()
+        if q.stream is not None and len(q) < stg.floor:  # at or above it, nothing changes
+            self._refresh(stg, q.stream)
+        return frames
+
+    def _refresh(self, stg: _SimStage, idx: int) -> None:
+        """Keep ``idx`` in ``stg.startable`` iff a worker could take a batch
+        from stream ``idx``'s queue: it holds frames, its (per-stream) worker
+        holds no survivors, and the batch floor is met — or, the source being
+        exhausted, may never be (``_n_take`` then asks ``_upstream_drained``)."""
+        n = len(stg.queues[idx])
+        want = (
+            n > 0
+            and (n >= stg.floor or not self.streams[idx].active)
+            and not (stg.spec.fan_in == PER_STREAM and stg.holding(idx))
+        )
+        ready = stg.startable
+        i = bisect_left(ready, idx)
+        if (i < len(ready) and ready[i] == idx) != want:
+            if want:
+                ready.insert(i, idx)
+            else:
+                del ready[i]
+
+    def _exhausted(self, idx: int) -> None:
+        """Stream ``idx`` offers no more frames (drained or detached): its
+        queues below the floor become candidates for a final flush."""
+        for stg in self._stages.values():
+            if stg.spec.fan_in in (PER_STREAM, SHARED_RR):
+                self._refresh(stg, idx)
+
+    # ------------------------------------------------------------------
     # arrival model
     # ------------------------------------------------------------------
-    def _arrival_time(self, stream: _StreamState, frame_idx: int) -> float:
+    def _arrival_time(self, idx: int, frame_idx: int) -> float:
+        """Local frame ``j`` of a tail trace attached mid-run arrives when
+        global frame ``offset + j`` of the original stream would have — the
+        frame-boundary contract the threaded cluster's handoff keeps."""
         if not self.online:
             return 0.0
-        return (stream.arrival_offset + frame_idx) / self.config.stream_fps
+        return (self.kernel.streams[idx].offset + frame_idx) / self.config.stream_fps
 
     def _top_up_arrivals(self, now: float) -> bool:
-        """Admit arrived frames into the first stage while room remains."""
+        """Admit arrived frames into the first stage while room remains: in
+        stream order, from the sources whose head frame the clock just
+        reached and the blocked ones whose first-stage queue dequeued."""
         eps = 1e-12
+        heap = self._arrivals
+        while heap and heap[0][0] <= now + eps:
+            self._src_ready.append(heapq.heappop(heap)[1])
+        if not self._src_ready:
+            return False
+        ready, self._src_ready = sorted(self._src_ready), []
         progress = False
         k = self.kernel
         traced = k.telemetry is not None
-        first_name = self.graph.first.name
-        first = self._stages[first_name]
-        for idx, st in enumerate(self.streams):
+        first = self._first
+        first_name = first.spec.name
+        for idx in ready:
+            st = self.streams[idx]
             q = first.merged_q if first.merged_q is not None else first.queues[idx]
-            while st.admitted < st.n and q.has_room(1):
-                if self._arrival_time(st, st.admitted) > now + eps:
+            while st.admitted < st.n:
+                t = self._arrival_time(idx, st.admitted)
+                if t > now + eps:
+                    heapq.heappush(heap, (t, idx))
                     break
-                q.put((idx, st.admitted))
-                t_in = max(now, self._arrival_time(st, st.admitted))
+                if not q.has_room(1):
+                    # The source holds an arrived frame the full first queue
+                    # cannot take: back-pressure has reached the camera.  An
+                    # arrival in (now, now + eps] still gets its own event.
+                    if t > now:
+                        heapq.heappush(heap, (t, idx))
+                    else:
+                        q.waiters.append(idx)
+                    if traced and st.blocked != st.admitted:
+                        st.blocked = st.admitted
+                        k.blocked(first_name, idx, st.admitted, now, len(q))
+                    break
+                self._enqueue(q, idx, st.admitted)
+                t_in = max(now, t)
                 st.ingest_time[st.admitted] = t_in
                 if traced:
                     k.entered(first_name, idx, st.admitted, t_in, admitted=True)
                 st.admitted += 1
                 progress = True
-            if (
-                traced
-                and st.blocked != st.admitted
-                and st.admitted < st.n
-                and self._arrival_time(st, st.admitted) <= now + eps
-            ):
-                # The source holds an arrived frame the full first queue
-                # cannot take: back-pressure has reached the camera.
-                st.blocked = st.admitted
-                k.blocked(first_name, idx, st.admitted, now, len(q))
+            else:
+                self._exhausted(idx)
         return progress
 
-    def _next_pending_arrival(self, now: float) -> float | None:
-        """Earliest future arrival that could enter the pipeline."""
-        best = None
-        for st in self.streams:
-            if st.admitted < st.n:
-                t = self._arrival_time(st, st.admitted)
-                if t > now and (best is None or t < best):
-                    best = t
-        return best
+    def _next_pending_arrival(self, now: float) -> float:
+        """Earliest future arrival that could enter the pipeline (inf = none)."""
+        heap = self._arrivals
+        while heap and not self.streams[heap[0][1]].active:
+            heapq.heappop(heap)  # detached since it was pushed
+        return heap[0][0] if heap else float("inf")
 
     # ------------------------------------------------------------------
     # out-buffer draining (blocked workers delivering held survivors)
     # ------------------------------------------------------------------
     def _drain_out_buffers(self, now: float) -> bool:
+        """Retry, in (stage, first-block) order, the out-buffers whose head
+        survivor's queue dequeued since it was found full."""
+        if not self._out_ready:
+            return False
+        ready, self._out_ready = sorted(self._out_ready, key=lambda ob: ob.rank), []
         progress = False
         k = self.kernel
         traced = k.telemetry is not None
-        for stg in self._stages.values():
-            for dq in stg.out.values():
-                while dq:
-                    s_idx, f_idx, target, tname = dq[0]
-                    if not target.has_room(1):
-                        break  # the worker delivers FIFO; head blocks the rest
-                    dq.popleft()
-                    target.put((s_idx, f_idx))
-                    if traced:
-                        k.entered(tname, s_idx, f_idx, now)
-                    progress = True
+        for ob in ready:
+            held = ob.held
+            while held:
+                s_idx, f_idx, target, tname = held[0]
+                if not target.has_room(1):
+                    target.waiters.append(ob)  # FIFO delivery: head blocks the rest
+                    break
+                held.popleft()
+                self._enqueue(target, s_idx, f_idx)
+                if traced:
+                    k.entered(tname, s_idx, f_idx, now)
+                progress = True
+            else:
+                if ob.stage.spec.fan_in == PER_STREAM:
+                    self._refresh(ob.stage, ob.key)
         return progress
 
     # ------------------------------------------------------------------
@@ -342,11 +470,11 @@ class PipelineSimulator:
             elif len(ustg.queues[stream_idx]):
                 return False
             if up.fan_in == PER_STREAM:
-                if ustg.out.get(stream_idx):
+                if ustg.holding(stream_idx):
                     return False
             else:
-                for dq in ustg.out.values():
-                    if any(held[0] == stream_idx for held in dq):
+                for ob in ustg.out.values():
+                    if any(held[0] == stream_idx for held in ob.held):
                         return False
         return True
 
@@ -354,19 +482,19 @@ class PipelineSimulator:
         """Batch size a worker takes from ``q`` right now (0 = skip)."""
         cfg = self.config
         rule = spec.batch
+        n = len(q)
         if rule.kind == "rr_cap":
-            return min(len(q), cfg.num_t_yolo)
+            return min(n, cfg.num_t_yolo)
         if rule.kind == "config":
-            if stream_idx is None:
-                eof = all(
-                    self._upstream_drained(spec, i) for i in range(len(self.streams))
-                )
-            else:
-                eof = self._upstream_drained(spec, stream_idx)
-            return decide_batch(
-                cfg.batch_policy, len(q), self.kernel.batch_size(), q.depth, eof=eof
+            size = self.kernel.batch_size()
+            # End of stream only matters below the floor: at or above it a
+            # single queue's flush (min(n, BatchSize)) is the policy's batch.
+            feeders = range(len(self.streams)) if stream_idx is None else (stream_idx,)
+            eof = n < batch_floor(cfg.batch_policy, size, q.depth) and all(
+                self._upstream_drained(spec, i) for i in feeders
             )
-        return min(len(q), rule.size)
+            return decide_batch(cfg.batch_policy, n, size, q.depth, eof=eof)
+        return min(n, rule.size)
 
     def _begin(
         self,
@@ -445,22 +573,17 @@ class PipelineSimulator:
     def _try_start_stage(self, device_name: str, spec: StageSpec, now: float) -> bool:
         """Start one batch of ``spec`` on ``device_name`` if possible."""
         stg = self._stages[spec.name]
+        if not stg.queued or (spec.fan_in != PER_STREAM and stg.holding(device_name)):
+            return False  # nothing to take, or this worker is blocked downstream
         if spec.fan_in == MERGED:
-            if not spec.terminal and stg.out.get(device_name):
-                return False  # this worker is blocked downstream
             q = stg.merged_q
-            if len(q) == 0:
-                return False
             n_take = self._n_take(spec, q, None)
             if n_take == 0:
                 return False
-            frames = [q.pop() for _ in range(n_take)]
-            self._begin(device_name, spec, None, frames, now)
+            self._begin(device_name, spec, None, self._dequeue(q, n_take), now)
             return True
 
         if spec.fan_in == FUSED:
-            if stg.out.get(device_name):
-                return False  # the fused worker is blocked downstream
             lens = [len(q) for q in stg.queues]
             eof = all(
                 self._upstream_drained(spec, i) for i in range(len(self.streams))
@@ -477,27 +600,22 @@ class PipelineSimulator:
                 return False
             frames = []
             for si in fused_pop_order(takes, stg.rr):
-                frames.extend(stg.queues[si].pop() for _ in range(takes[si]))
+                frames += self._dequeue(stg.queues[si], takes[si])
             stg.rr = (stg.rr + 1) % len(self.streams)
             self._begin(device_name, spec, None, frames, now)
             return True
 
-        if spec.fan_in == SHARED_RR and stg.out.get(device_name):
-            return False  # the shared worker is blocked downstream
-        n_streams = len(self.streams)
-        for off in range(n_streams):
-            idx = (stg.rr + off) % n_streams
-            if spec.fan_in == PER_STREAM and stg.out.get(idx):
-                continue  # this stream's worker is blocked downstream
+        # Round-robin from the cursor over the startable streams only.
+        ready = stg.startable
+        start = bisect_left(ready, stg.rr)
+        for off in range(len(ready)):
+            idx = ready[(start + off) % len(ready)]
             q = stg.queues[idx]
-            if len(q) == 0:
-                continue
             n_take = self._n_take(spec, q, idx)
             if n_take == 0:
-                continue
-            frames = [q.pop() for _ in range(n_take)]
-            self._begin(device_name, spec, idx, frames, now)
-            stg.rr = (idx + 1) % n_streams
+                continue  # below the floor with frames still upstream
+            self._begin(device_name, spec, idx, self._dequeue(q, n_take), now)
+            stg.rr = (idx + 1) % len(self.streams)
             return True
         return False
 
@@ -514,9 +632,7 @@ class PipelineSimulator:
         if len(specs) == 1:
             return specs
         works = [
-            self._stages[sp.name].queued()
-            * stage_per_frame_time(sp, self.costs, arbitration_batch(sp, self.config))
-            for sp in specs
+            self._stages[sp.name].queued * self._stages[sp.name].arb_time for sp in specs
         ]
         if all(abs(w - works[0]) < 1e-12 for w in works):
             last = self._dev_last.get(device_name, specs[0].name)
@@ -579,8 +695,8 @@ class PipelineSimulator:
                 tname = k.target(spec, s_idx, f_idx).name
                 tstg = self._stages[tname]
                 target = tstg.merged_q if tstg.merged_q is not None else tstg.queues[s_idx]
-                if target.has_room(1) and not stg.out.get(out_key):
-                    target.put((s_idx, f_idx))
+                if target.has_room(1) and not stg.holding(out_key):
+                    self._enqueue(target, s_idx, f_idx)
                     if traced:
                         k.entered(tname, s_idx, f_idx, now)
                 else:
@@ -588,7 +704,15 @@ class PipelineSimulator:
                     # holds the survivor in its out-buffer.
                     if traced:
                         k.blocked(tname, s_idx, f_idx, now, len(target))
-                    stg.out.setdefault(out_key, deque()).append((s_idx, f_idx, target, tname))
+                    ob = stg.out.get(out_key)
+                    if ob is None:
+                        ob = stg.out[out_key] = _OutBuffer((stg.pos, len(stg.out)), stg, out_key)
+                    ob.held.append((s_idx, f_idx, target, tname))
+                    if len(ob.held) == 1:
+                        # The head survivor's queue wakes this worker.
+                        target.waiters.append(ob)
+                        if spec.fan_in == PER_STREAM:
+                            self._refresh(stg, out_key)
         if self.record_events:
             self.events.append(
                 (svc.start, svc.end, device_name, svc.stage, svc.stream_idx,
@@ -602,8 +726,13 @@ class PipelineSimulator:
         stage (its score is the trace's precomputed reference count, the
         value the threaded engine computes live), or filtered out there."""
         st = self.streams[s_idx]
+        self._pending -= 1
         st.finish_time = max(st.finish_time, now)
-        latency = now - self._latency_base(st, f_idx)
+        # Latency runs from arrival when online (the user's clock starts at
+        # capture), from ingest when offline (all frames 'arrive' at t=0, so
+        # that would grow with the run instead of measuring residence).
+        base = self._arrival_time(s_idx, f_idx) if self.online else float(st.ingest_time[f_idx])
+        latency = now - base
         score = 0.0
         if analyzed:
             st.analyzed += 1
@@ -615,15 +744,6 @@ class PipelineSimulator:
             st.dropped += 1
             self._drop_latencies.append(latency)
         self.kernel.record(s_idx, f_idx, stage, latency, score)
-
-    def _latency_base(self, st: _StreamState, f_idx: int) -> float:
-        """Reference point for latency: arrival when online (the user's
-        clock starts when the camera captured the frame), ingest when
-        offline (all frames 'arrive' at t=0, which would make latency grow
-        linearly with the run instead of measuring pipeline residence)."""
-        if self.online:
-            return self._arrival_time(st, f_idx)
-        return float(st.ingest_time[f_idx])
 
     # ------------------------------------------------------------------
     # cluster-instance control (attach / detach)
@@ -652,8 +772,10 @@ class PipelineSimulator:
         receiving instance).  Frames already admitted keep their in-flight
         path to a disposition, exactly like the threaded detach."""
         st = self.streams[idx]
+        self._pending -= st.n - st.admitted
         st.n = st.admitted
-        return st.arrival_offset + st.admitted
+        self._exhausted(idx)
+        return self.kernel.streams[idx].offset + st.admitted
 
     def stream_costs(self) -> dict[str, int]:
         """stream_id -> frames past the first stage, active streams only."""
@@ -679,15 +801,23 @@ class PipelineSimulator:
             self._start_all(now)
             if sampler is not None and sampler.due(now):
                 k.sweep(now)
-            if all(st.finished for st in self.streams):
+            if not self._pending:
                 break
             t_heap = self._heap[0][0] if self._heap else inf
-            t_arr = self._next_pending_arrival(now)
-            t_next = min(t_heap, t_arr if t_arr is not None else inf)
+            t_next = min(t_heap, self._next_pending_arrival(now))
             if t_next == inf:
-                # No pending completions and no future arrivals: remaining
-                # frames are unreachable (should not happen) — stop.
-                break
+                # Frames remain and nothing will ever move them (a missed
+                # wake-up): loud, because the metrics would look complete.
+                obs = [ob for stg in self._stages.values() for ob in stg.out.values()]
+                holding = {
+                    "queues": {q.name: len(q) for q in k.queues if len(q)},
+                    "out": {f"{o.stage.spec.name}[{o.key}]": len(o.held) for o in obs if o.held},
+                    "sources": {s.trace.stream_id: s.n - s.admitted for s in self.streams if s.active},
+                }
+                raise RuntimeError(
+                    f"simulation stalled at t={now:.6f}: {self._pending} frames undisposed, "
+                    f"no completion or arrival pending; still holding {holding}"
+                )
             if until is not None and t_next > until:
                 now = until
                 break
@@ -724,10 +854,7 @@ class PipelineSimulator:
             m.extra[f"{name}_fps"] = entered / now if now > 0 else 0.0
             if stg.batch_events:
                 m.extra[f"mean_{name}_batch"] = entered / stg.batch_events
-        m.extra["truncated"] = (
-            max_virtual_time is not None
-            and not all(st.finished for st in self.streams)
-        )
+        m.extra["truncated"] = max_virtual_time is not None and self._pending > 0
         return self.kernel.finish(now)
 
 

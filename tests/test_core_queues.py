@@ -31,7 +31,6 @@ class TestSimQueue:
         for i in range(1000):
             q.put(i)
         assert q.has_room(10_000)
-        assert q.free_slots() is None
 
     def test_high_water_tracking(self):
         q = SimQueue(5)
@@ -40,27 +39,6 @@ class TestSimQueue:
         q.put(4)
         assert q.high_water == 3
         assert q.total_in == 4
-
-    def test_reservations_block_puts(self):
-        q = SimQueue(3)
-        assert q.reserve(2)
-        q.put(1)
-        assert not q.has_room(1)
-        with pytest.raises(OverflowError):
-            q.put(2)
-        q.put(2, reserved=True)
-        q.put(3, reserved=True)
-        assert len(q) == 3
-
-    def test_reserve_fails_when_full(self):
-        q = SimQueue(1)
-        q.put(1)
-        assert not q.reserve(1)
-
-    def test_put_reserved_without_reservation_raises(self):
-        q = SimQueue(2)
-        with pytest.raises(RuntimeError):
-            q.put(1, reserved=True)
 
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import FFSVAConfig
+from repro.core.queues import SimQueue
 from repro.core.trace import FrameTrace
 from repro.devices.costs import CostModel
 from repro.sim import PipelineSimulator, simulate_offline, simulate_online
@@ -172,3 +173,45 @@ class TestSimulatorEdgeCases:
         m = sim.run(max_virtual_time=3.0)
         assert m.extra["truncated"]
         assert m.duration <= 3.0 + 1e-9
+
+
+class TestEventLoopScaling:
+    """Deterministic stand-in for host time: how often the event loop asks a
+    queue for its state.  A loop that re-scans every stream and stage on
+    every pass probes O(streams) times per frame (78 -> 303 offline from 15
+    to 60 streams before the ready sets); one that visits only what could
+    act stays flat."""
+
+    @staticmethod
+    def probes_per_frame(monkeypatch, n_streams, simulate, config):
+        traces = [
+            make_synth_trace(300, 0.7, 0.18, 0.10, seed=i, stream_id=f"s{i}")
+            for i in range(n_streams)
+        ]
+        count = [0]
+        with monkeypatch.context() as patch:
+            for name in ("has_room", "__len__"):
+                inner = getattr(SimQueue, name)
+
+                def probe(self, *args, _inner=inner):
+                    count[0] += 1
+                    return _inner(self, *args)
+
+                patch.setattr(SimQueue, name, probe)
+            m = simulate(traces, config)
+        return count[0] / m.frames_offered
+
+    @pytest.mark.parametrize(
+        "simulate, config, bound",
+        [
+            (simulate_offline, FFSVAConfig(), 12),
+            (simulate_online, FFSVAConfig(batch_policy="feedback", filter_degree=1.0), 30),
+        ],
+    )
+    def test_probes_per_frame_do_not_grow_with_the_fleet(
+        self, monkeypatch, simulate, config, bound
+    ):
+        small = self.probes_per_frame(monkeypatch, 15, simulate, config)
+        large = self.probes_per_frame(monkeypatch, 60, simulate, config)
+        assert small <= bound and large <= bound
+        assert large <= 1.25 * small

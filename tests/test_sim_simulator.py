@@ -162,3 +162,27 @@ class TestDeterminism:
         assert m1.duration == m2.duration
         assert m1.frames_to_ref == m2.frames_to_ref
         assert m1.ref_latency.mean == pytest.approx(m2.ref_latency.mean)
+
+
+class TestStallIsLoud:
+    def test_missed_wakeup_raises_instead_of_reporting_a_complete_run(self, monkeypatch):
+        """Frames left in queues with no completion and no arrival pending
+        used to end the loop quietly: ``truncated`` False, conservation
+        green.  Devices that stop starting work are the stand-in for any
+        missed wake-up in the event loop's ready sets."""
+        sim = PipelineSimulator([low_tor_trace(300)], online=False)
+        start, calls = sim._try_start_devices, []
+
+        def start_40_times(now):
+            calls.append(now)
+            return len(calls) <= 40 and start(now)
+
+        monkeypatch.setattr(sim, "_try_start_devices", start_40_times)
+        with pytest.raises(RuntimeError, match=r"stalled.* undisposed.*'sdd\[0\]': 2"):
+            sim.run()
+
+    def test_horizon_stop_is_not_a_stall(self):
+        traces = [make_synth_trace(300, 1.0, 1.0, 1.0, seed=i, stream_id=f"s{i}") for i in range(8)]
+        m = PipelineSimulator(traces, online=True).run(max_virtual_time=2.0)
+        assert m.extra["truncated"]
+        m.check_conservation()
