@@ -1,0 +1,52 @@
+"""CI smoke test for the threaded engine's thread budget.
+
+Runs a 2-stream, 120-frame ``ThreadedPipeline`` on the default cascade and
+prints ``RunMetrics.extra["engine"]``.  Fails if
+
+* the run did not start exactly 2 SDD + 2 SNM + 1 T-YOLO + 1 reference = 6
+  worker threads (a prefetch thread per stream came back), or
+* an OpenBLAS is mapped into the process but ``runtime/blas.py`` capped no
+  library — a numpy/scipy build whose symbol spelling the cap does not know
+  would otherwise show up only as a silent loss of the measured gain.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.core import FFSVAConfig  # noqa: E402
+from repro.models import ModelZoo  # noqa: E402
+from repro.nn import TrainConfig  # noqa: E402
+from repro.runtime import ThreadedPipeline  # noqa: E402
+from repro.video import jackson, make_stream  # noqa: E402
+
+
+def main() -> int:
+    zoo = ModelZoo()
+    streams = [
+        make_stream(jackson(), 240, tor=0.3, seed=11 + i, stream_id=f"smoke-{i}") for i in range(2)
+    ]
+    for s in streams:
+        zoo.train_for_stream(
+            s, n_train_frames=120, stride=2, train_config=TrainConfig(epochs=4, batch_size=32, seed=5)
+        )
+    pipe = ThreadedPipeline(streams, zoo, FFSVAConfig())
+    m = pipe.run(n_frames=120)
+    engine = m.extra["engine"]
+    print(f"engine: {engine}")
+    assert len(pipe.outcomes) == m.frames_offered == 240
+    assert engine["worker_threads"] == 6, f"expected 6 engine workers, got {engine}"
+    # Looked up here, not through runtime/blas.py: the point is to catch a
+    # mapped library that module's symbol probing did not recognise.
+    with open("/proc/self/maps") as fh:
+        mapped = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.rpartition("/")[2]})
+    assert not mapped or engine["blas_libs"] > 0, (
+        f"OpenBLAS is mapped ({mapped}) but runtime/blas.py found no "
+        "openblas_{get,set}_num_threads spelling in it"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

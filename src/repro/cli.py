@@ -391,8 +391,10 @@ def _cmd_analyze(args) -> int:
     system.train(stream, n_train_frames=args.train_frames)
     report = system.analyze_offline(stream)
     m = report.metrics
+    engine = m.extra["engine"]
     print(f"processed {m.frames_ingested} frames in {m.duration:.1f}s "
-          f"({m.throughput_fps:.0f} FPS real compute)")
+          f"({m.throughput_fps:.0f} FPS real compute, {engine['worker_threads']} worker "
+          f"threads, BLAS capped at {engine['blas_threads']} in {engine['blas_libs']} libs)")
     for spec in config.graph():
         c = m.stages[spec.name]
         print(f"  {spec.name:>6}: executed {c.entered:5d}  filtered {c.filtered:5d}")

@@ -8,10 +8,11 @@ global feedback mechanism.
 
 The cascade topology is not hard-coded here: workers and queues are
 constructed from a :class:`~repro.core.pipeline.StageGraph` (the shared
-control plane, by default the config's cascade).  Per stream there is a
-prefetcher plus one worker per ``per_stream`` stage; each ``shared_rr``
-stage gets a single worker that round-robins over the per-stream queues,
-and each ``merged`` stage a single worker draining one merged queue.
+control plane, by default the config's cascade).  Per stream there is one
+worker per ``per_stream`` stage — the first of them pulls its own source,
+other first stages are fed by a prefetcher; each ``shared_rr`` stage gets a
+single worker that round-robins over the per-stream queues, and each
+``merged`` stage a single worker draining one merged queue.
 
 Device placement is honoured with locks: stages hosted on a GPU acquire
 that device's lock around inference (SNM and T-YOLO share ``gpu0`` in the
@@ -32,12 +33,12 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from ..core.batching import decide_fused_batch, fused_pop_order
+from ..core.batching import batch_floor, decide_fused_batch, fused_pop_order
 from ..core.config import FFSVAConfig
 from ..core.kernel import CascadeKernel, StreamInfo
 from ..core.metrics import LatencyStats, RunMetrics
@@ -57,6 +58,7 @@ from ..core.queues import FeedbackQueue, QueueClosed
 from ..devices.placement import Placement, ffs_va_placement
 from ..models.zoo import ModelZoo
 from ..obs import Telemetry
+from .blas import blas_thread_cap
 from .procpool import ProcPool
 from ..video.stream import VideoStream
 
@@ -95,33 +97,73 @@ class _StreamCtx:
 
 @dataclass
 class _Feed:
-    """Control block for one stream slot's prefetcher.
+    """One stream slot's source: the frame range it offers, and — when the
+    first stage is ``per_stream`` — that stage's input queue.
 
     ``start``/``count`` bound the frame range this slot offers (global
     stream indices ``[start, start + count)``); ``offered`` counts frames
     that actually received a disposition path (admitted, dropped, or
-    aborted).  Setting ``stop`` asks the prefetcher to halt at the next
-    frame boundary; ``boundary`` is set once the prefetcher has left its
-    loop, at which point ``start + offered`` is the exact handoff index —
-    no frame before it can ever be offered elsewhere, no frame at or after
-    it was offered here.
+    aborted).  Setting ``stop`` asks the source to halt at the next frame
+    boundary; ``boundary`` is set once its thread has left its loop, at
+    which point ``start + offered`` is the exact handoff index — no frame
+    before it can ever be offered elsewhere, no frame at or after it was
+    offered here.
+
+    ``pop_batch``/``closed``/``len`` are the consumer half of
+    :class:`FeedbackQueue`'s contract: the first queue never fed back on
+    anything (``core/admission.py`` ignores it), it only buffered the source.
     """
 
+    pipe: ThreadedPipeline
+    slot: int
     start: int
     count: int
     preloaded: list | None = None  # handoff-window pixels for leading frames
     offered: int = 0
-    stop: threading.Event = None  # type: ignore[assignment]
-    boundary: threading.Event = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        self.stop = threading.Event()
-        self.boundary = threading.Event()
+    t0: float | None = None  # pacing origin: the first pop
+    stop: threading.Event = field(default_factory=threading.Event)
+    boundary: threading.Event = field(default_factory=threading.Event)
 
     @property
     def active(self) -> bool:
         """Still offering frames here (re-forwardable)."""
         return not self.stop.is_set() and self.offered < self.count
+
+    closed = True  # a stream's frames all exist up front: nothing is ever put
+
+    def __len__(self) -> int:
+        """Frames still to be pulled here (none once stopped or aborting)."""
+        halted = self.stop.is_set() or self.pipe._abort.is_set()
+        return 0 if halted else self.count - self.offered
+
+    def pop_batch(self, max_n: int, min_n: int = 1, timeout: float | None = None) -> list:
+        """Render the next chunk (and admit it, when the first stage itself
+        pulls).  Offline that is ``max_n`` frames, or what is left, at once; a
+        paced source waits — ``timeout`` at most, then ``[]`` — until ``min_n``
+        frames are due and returns every due frame, so none is held back to
+        fill a chunk."""
+        pipe, j = self.pipe, self.offered
+        n = min(max_n, len(self))
+        fps = pipe._paced_fps
+        if fps is not None and n:
+            t0 = self.t0 = self.t0 or time.monotonic()
+            min_n = min(min_n, n)
+            wait = t0 + (j + min_n - 1) / fps - time.monotonic()
+            if wait > 0:
+                time.sleep(wait if timeout is None else min(wait, timeout))
+            due = int((time.monotonic() - t0) * fps) + 1 - j
+            n = min(n, due) if due >= min_n else 0
+        stream, pre = pipe.ctxs[self.slot].stream, self.preloaded or ()
+        works = []
+        for i in range(j, j + n):
+            pixels = pre[i] if i < len(pre) else stream.pixels(self.start + i)
+            works.append(_Work(self.slot, self.start + i, pixels, time.monotonic()))
+        self.offered = j + n
+        if works and pipe._pull and pipe.telemetry is not None:
+            now, first = pipe._now(), pipe.graph.first.name
+            for w in works:
+                pipe.kernel.entered(first, w.stream_idx, w.index, now, admitted=True)
+        return works
 
 
 class ThreadedPipeline:
@@ -188,11 +230,19 @@ class ThreadedPipeline:
             k.add_stream(_stream_info(ctx.stream) if ctx.stream is not None else None)
         n = len(self.ctxs)
 
+        #: Per-slot source control blocks (None = reserve slot, unused).
+        self._feeds: list[_Feed | None] = [None] * n
+        #: A per_stream first stage pulls from its slot's feed; any other
+        #: fan-in pools streams, so prefetchers push into real queues.
+        self._pull = self.graph.first.fan_in == PER_STREAM
         #: Per-stage input queues: one per stream for per_stream/shared_rr
         #: stages, a single merged queue otherwise.
-        self.stage_queues: dict[str, list[FeedbackQueue]] = {}
+        self.stage_queues: dict[str, list] = {}
         self.merged_queues: dict[str, FeedbackQueue] = {}
         for spec in self.graph:
+            if self._pull and spec is self.graph.first:
+                self.stage_queues[spec.name] = self._feeds
+                continue
             queues = k.make_queues(spec, FeedbackQueue, range(n))
             if spec.fan_in == MERGED:
                 self.merged_queues[spec.name] = queues[0]
@@ -220,8 +270,6 @@ class ThreadedPipeline:
         self._t0 = 0.0  # run-start monotonic reference for telemetry stamps
         self.outcomes: list[FrameOutcome] = []
         self._outcome_lock = threading.Lock()
-        #: Per-slot prefetch control blocks (None = reserve slot, unused).
-        self._feeds: list[_Feed | None] = [None] * n
         self._feed_lock = threading.Lock()
         self._dyn_threads: list[threading.Thread] = []
         self._sealed = reserve_slots == 0
@@ -278,12 +326,8 @@ class ThreadedPipeline:
         cfg = self.config
         rule = spec.batch
         if rule.kind == "config":
-            min_n = 1
-            if cfg.batch_policy in ("static", "feedback"):
-                min_n = cfg.batch_size
-                if cfg.batch_policy == "feedback":
-                    min_n = min(min_n, cfg.queue_depth(spec.depth_key))
-            return cfg.batch_size, min_n
+            depth = cfg.queue_depth(spec.depth_key)
+            return cfg.batch_size, batch_floor(cfg.batch_policy, cfg.batch_size, depth)
         if rule.kind == "rr_cap":
             return cfg.num_t_yolo, 1
         return rule.size, 1
@@ -545,59 +589,56 @@ class ThreadedPipeline:
     # workers
     # ------------------------------------------------------------------
     def _prefetch_worker(self, idx: int):
-        ctx = self.ctxs[idx]
-        feed = self._feeds[idx]
-        first = self.graph.first
+        """Push slot ``idx``'s feed, frame by frame, into the queues of a
+        first stage that pools streams."""
+        feed, first = self._feeds[idx], self.graph.first
         target = self._input_queue(first, idx)
-        paced_fps = self._paced_fps
-        t0 = time.monotonic()
         try:
-            for j in range(feed.count):
-                if feed.stop.is_set():
-                    # Detach request: halt at the frame boundary.  Frames
-                    # [start + offered, start + count) were never offered
-                    # here and belong to whichever instance attaches next.
-                    return
-                i = feed.start + j
-                if paced_fps is not None:
-                    delay = t0 + j / paced_fps - time.monotonic()
-                    if delay > 0:
-                        time.sleep(delay)
-                if feed.preloaded is not None and j < len(feed.preloaded):
-                    pixels = feed.preloaded[j]
-                else:
-                    pixels = ctx.stream.pixels(i)
-                work = _Work(idx, i, pixels, time.monotonic())
-                status = self._put(first, target, work, admit=True)
-                if status == "dropped":
-                    feed.offered = j + 1
-                    self._record(work, DROPPED)
-                    continue
-                if status != "ok":
-                    # The pipeline is aborting: frames never admitted still
-                    # get a terminal disposition.
-                    now = time.monotonic()
-                    for jj in range(j, feed.count):
-                        self._record(_Work(idx, feed.start + jj, pixels, now), ABORTED)
-                    feed.offered = feed.count
-                    return
-                feed.offered = j + 1
+            while len(feed):
+                for work in feed.pop_batch(1, timeout=0.05):
+                    status = self._put(first, target, work, admit=True)
+                    if status != "ok":
+                        self._record(work, DROPPED if status == "dropped" else ABORTED)
         except BaseException as exc:  # pragma: no cover - defensive
             self._fail(exc)
         finally:
-            feed.boundary.set()
+            self._feed_done(feed)
             self._close_input(first, idx)
+
+    def _feed_done(self, feed: _Feed) -> None:
+        """``feed``'s source thread left its loop: frames an aborting pipeline
+        never admitted still get a terminal disposition, and ``start +
+        offered`` is final.  (A stopped feed's remainder is not ours: it
+        belongs to whichever instance attaches next.)"""
+        if self._abort.is_set() and not feed.stop.is_set():
+            now = time.monotonic()
+            for i in range(feed.start + feed.offered, feed.start + feed.count):
+                self._record(_Work(feed.slot, i, None, now), ABORTED)
+            feed.offered = feed.count
+        feed.boundary.set()
 
     def _stage_worker(self, loop, spec: StageSpec, idx: int | None):
         """Thread body of one stage worker running ``loop``: a failure aborts
         the pipeline, and on every exit path the worker releases its share
-        of the downstream queue(s) so the close protocol completes."""
+        of the downstream queue(s) so the close protocol completes (and its
+        feed, when it pulled its own source)."""
         try:
             loop(spec, idx)
         except BaseException as exc:
             self._fail(exc)
         finally:
             self._downstream_done(spec, idx)
+            if self._pull and spec is self.graph.first:
+                self._feed_done(self._feeds[idx])
+
+    def _source_thread(self, slot: int) -> threading.Thread:
+        """The thread offering ``slot``'s frames: the first stage's own worker
+        over the slot's feed, or a prefetcher pushing into pooled queues."""
+        if self._pull:
+            target, args = self._stage_worker, (self._queue_loop, self.graph.first, slot)
+        else:
+            target, args = self._prefetch_worker, (slot,)
+        return threading.Thread(target=target, args=args, daemon=True)
 
     def _queue_loop(self, spec: StageSpec, idx: int | None):
         """Drain one input queue: stream ``idx``'s queue of a ``per_stream``
@@ -761,16 +802,13 @@ class ThreadedPipeline:
             if not unused:
                 raise RuntimeError("no free reserve slot")
             slot = unused[0]
-            # Context first, then feed, then thread: the prefetcher and
-            # stage workers read ctx/bundle through the slot index.
+            # Context first, then feed, then thread: the source and stage
+            # workers read ctx/bundle through the slot index.
             self.ctxs[slot] = _StreamCtx(stream=stream, bundle=self.zoo[stream.stream_id])
             self.kernel.add_stream(_stream_info(stream), slot)
-            self._feeds[slot] = _Feed(start=start, count=end - start, preloaded=preloaded)
+            self._feeds[slot] = _Feed(self, slot, start, end - start, preloaded)
             self.metrics.frames_offered += end - start
-            t = threading.Thread(
-                target=self._prefetch_worker, args=(slot,),
-                name=f"prefetch-attach-{slot}", daemon=True,
-            )
+            t = self._source_thread(slot)
             self._dyn_threads.append(t)
         t.start()
         return slot
@@ -805,7 +843,8 @@ class ThreadedPipeline:
             unused = self._unused_slots()
         first = self.graph.first
         for i in unused:
-            self._close_input(first, i)
+            # A pull slot never got its first-stage worker: stand in for it.
+            (self._downstream_done if self._pull else self._close_input)(first, i)
 
     # ------------------------------------------------------------------
     def _drain_unfinished(self) -> None:
@@ -835,7 +874,7 @@ class ThreadedPipeline:
         for i, ctx in enumerate(self.ctxs):
             if ctx.stream is not None:
                 count = len(ctx.stream) if n_frames is None else min(n_frames, len(ctx.stream))
-                self._feeds[i] = _Feed(start=0, count=count)
+                self._feeds[i] = _Feed(self, i, 0, count)
                 self.metrics.frames_offered += count
 
         bundles = [ctx.bundle for ctx in self.ctxs]
@@ -873,18 +912,16 @@ class ThreadedPipeline:
                 slot_bytes=slot_bytes,
             )
 
-        # A reserve slot gets no prefetcher: its queue closes at
-        # attach-exhaust or seal().
-        threads = [
-            threading.Thread(target=self._prefetch_worker, args=(i,), daemon=True)
-            for i, feed in enumerate(self._feeds)
-            if feed is not None
-        ]
+        # A reserve slot gets no source thread: its first-stage input closes
+        # at attach-exhaust or seal().
+        threads = [self._source_thread(i) for i, f in enumerate(self._feeds) if f is not None]
         loops = {
             PER_STREAM: self._queue_loop, MERGED: self._queue_loop,
             SHARED_RR: self._shared_loop, FUSED: self._fused_loop,
         }
         for spec in self.graph:
+            if self._pull and spec is self.graph.first:
+                continue  # the source threads above are this stage's workers
             # One worker per stream for per_stream stages, else one in all.
             slots = range(len(self.ctxs)) if spec.fan_in == PER_STREAM else [None]
             threads += [
@@ -904,16 +941,19 @@ class ThreadedPipeline:
                 name="telemetry-sampler", daemon=True,
             )
             sampler.start()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        # Prefetchers spawned by attach_stream() after the static set was
-        # launched.  Stage workers only exit once *every* first-stage queue
-        # has closed (including reserve slots, closed by attach-exhaust or
-        # seal()), so by now no further dynamic thread can appear.
-        for t in list(self._dyn_threads):
-            t.join()
+        # The engine's parallelism is its stage threads: BLAS helpers are
+        # capped to the cores those leave over, and restored on every exit.
+        with blas_thread_cap(len(threads)) as blas:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            # Source threads spawned by attach_stream() after the static set
+            # was launched.  Stage workers only exit once *every* first-stage
+            # input has closed (including reserve slots, closed by
+            # attach-exhaust or seal()), so by now no further one can appear.
+            for t in list(self._dyn_threads):
+                t.join()
         self._running = False
         duration = time.monotonic() - t0
         if sampler_stop is not None:
@@ -944,6 +984,7 @@ class ThreadedPipeline:
         m.frames_to_ref = len(ref_lat)
         m.ref_latency = LatencyStats.from_samples(ref_lat)
         m.frame_latency = LatencyStats.from_samples([o.latency for o in self.outcomes])
+        m.extra["engine"] = {"worker_threads": len(threads), **blas}
         if pool_stats:
             m.extra["procpool"] = pool_stats
         if self.telemetry is not None:

@@ -310,6 +310,10 @@ class ProcPool:
     # ------------------------------------------------------------------
     def shutdown(self, timeout: float = 5.0) -> PoolStats:
         """Stop workers (sentinel, then terminate stragglers) and reap."""
+        # The monitor goes first: a worker exiting on its sentinel is not a
+        # crash.  (The collector keeps running until no future is pending.)
+        self._stopping.set()
+        self._monitor.join(timeout=2.0)
         for wid, tq in enumerate(self._task_qs):
             if wid not in self._dead:
                 try:
@@ -322,7 +326,6 @@ class ProcPool:
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1.0)
-        self._stopping.set()
         # Fail any future still unresolved so no dispatcher hangs.
         with self._lock:
             for task_id, fut in list(self._futures.items()):
@@ -330,7 +333,6 @@ class ProcPool:
                 fut.event.set()
                 self._futures.pop(task_id, None)
         self._collector.join(timeout=2.0)
-        self._monitor.join(timeout=2.0)
         for tq in self._task_qs:
             tq.close()
             tq.cancel_join_thread()

@@ -345,6 +345,19 @@ class TestProcPool:
         finally:
             pool.shutdown()
 
+    def test_shutdown_never_counts_a_sentinel_exit_as_a_crash(self, monkeypatch):
+        # The monitor used to keep polling while shutdown() joined workers
+        # that had just exited on their sentinel; a poll landing in that
+        # window counted them as crashed.  A short poll makes it land.
+        monkeypatch.setattr("repro.runtime.procpool._POLL", 0.001)
+        for _ in range(4):
+            pool = ProcPool("t", _threshold_evaluate, [0.5], None, None, 2, slot_bytes=4096)
+            pool.run_batch(np.zeros((2, 4, 4)), [0, 0], None)
+            time.sleep(0.01)  # the monitor is mid-cycle, not just started
+            stats = pool.shutdown()
+            assert stats.crashed_workers == 0
+            assert stats.tasks == 1
+
 
 # ---------------------------------------------------------------------------
 # end to end: the full stack with both features on
