@@ -8,14 +8,17 @@ resize, SNM forward passes, grid-detector response maps — must stay small
 * **before** — the straightforward implementation (per-call resize index
   math, training-machinery ``forward`` with backward caches), kept alive
   here as reference code;
-* **after**  — the shipped fast path (cached :class:`ResizePlan`,
-  ``Sequential.predict``, per-instance buffers).
+* **after**  — the shipped fast path (cached separable
+  :class:`ResizePlan`, ``frame_median``, ordered ``block_reduce_mean``,
+  batched blob count, ``Sequential.predict``, per-instance buffers).
 
 Medians land in ``BENCH_hotpath.json`` at the repo root (committed, so the
 perf trajectory is reviewable per PR).  Correctness — fast path outputs
 equivalent to the slow path — is always asserted and is the only thing
 that can fail the run: timings are data, not gates, because CI machines
-are noisy.
+are noisy.  For the numeric kernels "equivalent" is ``np.array_equal``:
+they promise the bits of the NumPy expression they replace, so a NumPy
+build that sums or selects in another order fails here first.
 
 Usage::
 
@@ -37,7 +40,7 @@ import numpy as np
 from repro.models.griddet import GridDetector
 from repro.models.sdd import SDD
 from repro.models.snm import SNMConfig, build_snm_network
-from repro.video.ops import get_resize_plan
+from repro.video.ops import block_reduce_mean, frame_median, get_resize_plan
 
 from .common import print_table, record_bench
 
@@ -158,6 +161,48 @@ def build_cases(quick: bool) -> list[Case]:
     resize_case("snm 50x50 b10", frames10, (50, 50), r)
     resize_case("tyolo 104x104 b10", frames10, (104, 104), r)
     resize_case("hires 100x100 b8", hires8, (100, 100), r)
+    # The reference model's up-sample: each source row feeds two output rows.
+    resize_case("ref 208x208 b1", frames1, (208, 208), r)
+    resize_case("ref 208x208 b10", frames10, (208, 208), r)
+
+    # Per-frame median luminance (the detectors' and SNM's lighting gain).
+    def median_case(tag, batch, reps):
+        cases.append(
+            Case(
+                f"frame_median[{tag}]",
+                lambda: np.median(batch, axis=(1, 2)),
+                lambda: frame_median(batch),
+                lambda: np.array_equal(frame_median(batch), np.median(batch, axis=(1, 2))),
+                reps,
+            )
+        )
+
+    res208 = rng.random((10, 208, 208), dtype=np.float32)
+    res104 = rng.random((10, 104, 104), dtype=np.float32)
+    median_case("208x208 b1", res208[:1], r)
+    median_case("104x104 b10", res104, r)
+    median_case("49x49 b10 odd", res104[:, :49, :49], r)
+
+    # Response pooling at the two detector geometries (208/52 and 104/13).
+    def block_mean_case(tag, batch, factor, reps):
+        n, side = len(batch), batch.shape[1] // factor
+
+        def before():
+            return batch.reshape(n, side, factor, side, factor).mean(axis=(2, 4))
+
+        cases.append(
+            Case(
+                f"block_mean[{tag}]",
+                before,
+                lambda: block_reduce_mean(batch, factor),
+                lambda: np.array_equal(block_reduce_mean(batch, factor), before()),
+                reps,
+            )
+        )
+
+    block_mean_case("208/4 b1", res208[:1], 4, r)
+    block_mean_case("208/4 b10", res208, 4, r)
+    block_mean_case("104/8 b10", res104, 8, r)
 
     # SDD distance: resize + MSE against the stream reference.
     reference = rng.random(FRAME_HW, dtype=np.float32)
@@ -217,6 +262,63 @@ def build_cases(quick: bool) -> list[Case]:
             lambda: np.array_equal(det_fast.count_batch(frames10, bg), griddet_before()),
             20 if quick else 100,
         )
+    )
+
+    # Blob counting alone, on reference-grid response maps with a few
+    # objects each (some on the last row / column, next to the separator).
+    ref_det = GridDetector(grid=52, resolution=208, conf_threshold=0.15, cell_activation=0.12)
+    cells16 = rng.random((16, 52, 52), dtype=np.float32) * np.float32(0.1)
+    for i in range(16):
+        for _ in range(i % 5):
+            y, x = rng.integers(0, 52, 2)
+            cells16[i, y : y + 3, x : x + 2] += np.float32(rng.random() * 0.4)
+    cells16[3, 51, 10:14] = cells16[4, 0, 10:14] = 0.5
+
+    def blobs_before():
+        return [len(ref_det.cell_blobs(c)) for c in cells16]
+
+    def blobs_after():
+        return ref_det._blob_counts(cells16, *ref_det._label(cells16))
+
+    cases.append(
+        Case(
+            "blob count 52x52 b16",
+            blobs_before,
+            blobs_after,
+            lambda: blobs_after().tolist() == blobs_before(),
+            20 if quick else 100,
+        )
+    )
+
+    # The reference model as the merged stage sees it: singleton batches,
+    # two streams taking turns.  "before" is the same arithmetic written
+    # plainly, background resized on every call as a one-entry cache did.
+    bg2 = rng.random(FRAME_HW, dtype=np.float32)
+    turn = [0]
+
+    def ref_before():
+        turn[0] ^= 1
+        b = bg2 if turn[0] else bg
+        resized = reference_resize(frames1, (208, 208))
+        bg_big = reference_resize(b, (208, 208))
+        bg_med = float(np.median(bg_big)) or 1.0
+        gain = (np.median(resized, axis=(1, 2)) / bg_med)[:, None, None].astype(np.float32)
+        resp = np.abs(resized - bg_big[None] * gain)
+        cells = resp.reshape(1, 52, 4, 52, 4).mean(axis=(2, 4)) / 0.25
+        return [len(ref_det.cell_blobs(c)) for c in cells]
+
+    def ref_after():
+        turn[0] ^= 1
+        return ref_det.count_batch(frames1, bg2 if turn[0] else bg)
+
+    def ref_check():
+        turn[0] = 0  # both sides see the same background
+        want = ref_before()
+        turn[0] = 0
+        return ref_after().tolist() == want
+
+    cases.append(
+        Case("reference count b1 x2 streams", ref_before, ref_after, ref_check, 40 if quick else 200)
     )
     return cases
 

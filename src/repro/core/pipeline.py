@@ -477,11 +477,18 @@ def _tyolo_mask(trace, config):
 
 
 def _ref_evaluate(pixels, bundles, zoo, config):
-    counts = np.array(
-        [zoo.reference.count(px, b.background) for px, b in zip(pixels, bundles)],
-        dtype=np.int64,
-    )
-    return np.ones(len(pixels), dtype=bool), counts
+    # A merged batch interleaves streams: one detector call per run of
+    # consecutive frames that share a bundle (and so a background).
+    n = len(pixels)
+    counts = np.empty(n, dtype=np.int64)
+    start = 0
+    for stop in range(1, n + 1):
+        if stop == n or bundles[stop] is not bundles[start]:
+            counts[start:stop] = zoo.reference.count_batch(
+                pixels[start:stop], bundles[start].background
+            )
+            start = stop
+    return np.ones(n, dtype=bool), counts
 
 
 def _all_pass_mask(trace, config):

@@ -44,7 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from ..video.ops import block_reduce_mean, get_resize_plan, resize_bilinear
+from ..video.ops import (
+    FRAME_CHUNK,
+    block_reduce_mean,
+    frame_median,
+    get_resize_plan,
+    resize_bilinear,
+)
 
 __all__ = ["Detection", "GridDetector", "classify_kind"]
 
@@ -121,6 +127,15 @@ def classify_kind(width: float, height: float) -> str:
 # a [0, 1]-ish confidence scale compatible with the paper's conf > 0.2.
 _RESPONSE_SCALE = 0.25
 
+# 4-connectivity, built once: ``ndimage.label`` rebuilds it on every call
+# when none is passed.
+_CROSS = ndimage.generate_binary_structure(2, 1)
+
+# Backgrounds one detector keeps resized at a time: every stream of a node
+# shares the detector, and each brings its own.  Past the bound the oldest
+# entry goes (and is resized again on that stream's next turn).
+_BG_CACHE_SIZE = 64
+
 
 class GridDetector:
     """Background-deviation grid detector (see module docstring).
@@ -158,25 +173,31 @@ class GridDetector:
         self.conf_threshold = conf_threshold
         self.cell_activation = cell_activation
         self.name = name
-        # Per-background resize cache: detect() is called frame-by-frame with
-        # the same reference image, so resizing it once matters.
-        self._bg_cache: tuple[np.ndarray, np.ndarray] | None = None
+        # id(background) -> (background, resized, median of resized), one
+        # entry per stream sharing this detector.
+        self._bg_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
         self._resized: np.ndarray | None = None  # steady-state resize buffer
 
     # ------------------------------------------------------------------
-    def _resized_background(self, background: np.ndarray) -> np.ndarray:
-        # The cache holds a strong reference to the source array and matches
-        # by identity: an ``id()`` key alone can collide when the previous
-        # background is garbage-collected and a new array lands at the same
-        # address, silently serving a stale resize.  Keeping the reference
-        # alive makes address reuse impossible while cached.
-        if self._bg_cache is not None and self._bg_cache[0] is background:
-            return self._bg_cache[1]
-        resized = resize_bilinear(
-            background, (self.resolution, self.resolution), copy=True
-        )
-        self._bg_cache = (background, resized)
-        return resized
+    def _resized_background(
+        self, background: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Cached ``(background, resized to working resolution, its median)``."""
+        # Entries hold a strong reference to their source array and match by
+        # identity: an ``id()`` key alone can collide when a background is
+        # garbage-collected and a new array lands at the same address,
+        # silently serving a stale resize.  Keeping the reference alive makes
+        # address reuse impossible while cached.
+        entry = self._bg_cache.get(id(background))
+        if entry is None or entry[0] is not background:
+            resized = resize_bilinear(
+                background, (self.resolution, self.resolution), copy=True
+            )
+            entry = (background, resized, float(np.median(resized)) or 1.0)
+            if len(self._bg_cache) >= _BG_CACHE_SIZE:
+                del self._bg_cache[next(iter(self._bg_cache))]
+            self._bg_cache[id(background)] = entry
+        return entry
 
     def response_cells(self, frames: np.ndarray, background: np.ndarray) -> np.ndarray:
         """Normalized per-cell foreground response, ``(N, grid, grid)``.
@@ -197,11 +218,9 @@ class GridDetector:
             if buf is None or buf.shape != shape:
                 buf = self._resized = np.empty(shape, dtype=np.float32)
             resized = plan.apply(batch, out=buf)
-        bg = self._resized_background(np.asarray(background, dtype=np.float32))
+        _, bg, bg_med = self._resized_background(background)
         # Global multiplicative lighting correction per frame.
-        bg_med = float(np.median(bg)) or 1.0
-        frame_med = np.median(resized, axis=(1, 2))
-        gain = (frame_med / bg_med)[:, None, None].astype(np.float32)
+        gain = (frame_median(resized) / bg_med)[:, None, None].astype(np.float32)
         resp = np.abs(resized - bg[None] * gain)
         cells = block_reduce_mean(resp, self.cell) / _RESPONSE_SCALE
         return cells[0] if single else cells
@@ -250,13 +269,23 @@ class GridDetector:
         single = batch.ndim == 2
         if single:
             batch = batch[None]
-        n, gh, gw = batch.shape
-        active = batch > self.cell_activation
-        # One labeling pass for the whole batch: stack the masks with a zero
-        # separator row between frames so no component spans two frames.
+        out = self._regions(self._label(batch)[0], *batch.shape[:2])
+        return out[0] if single else out
+
+    def _label(self, cells: np.ndarray) -> tuple[np.ndarray, int]:
+        """4-connected blobs of an ``(N, gh, gw)`` batch in one labelling pass.
+
+        The active-cell masks are stacked with a zero separator row below
+        each frame, so no component spans two frames; returns the
+        ``(N * (gh + 1), gw)`` label image and the number of blobs.
+        """
+        n, gh, gw = cells.shape
         stacked = np.zeros((n, gh + 1, gw), dtype=bool)
-        stacked[:, :gh] = active
-        labels, _ = ndimage.label(stacked.reshape(n * (gh + 1), gw))
+        np.greater(cells, self.cell_activation, out=stacked[:, :gh])
+        return ndimage.label(stacked.reshape(n * (gh + 1), gw), _CROSS)
+
+    def _regions(self, labels: np.ndarray, n: int, gh: int) -> list[np.ndarray]:
+        """:meth:`propose_regions` of a batch already labelled by :meth:`_label`."""
         per_frame: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
         for slc in ndimage.find_objects(labels):
             if slc is None:
@@ -267,8 +296,23 @@ class GridDetector:
             per_frame[frame].append(
                 (y_sl.start - base, x_sl.start, y_sl.stop - base, x_sl.stop)
             )
-        out = [_merge_overlaps(boxes) for boxes in per_frame]
-        return out[0] if single else out
+        return [_merge_overlaps(boxes) for boxes in per_frame]
+
+    def _blob_counts(self, cells: np.ndarray, labels: np.ndarray, n_labels: int) -> np.ndarray:
+        """Detections per frame of a batch already labelled by :meth:`_label`.
+
+        ``len(self.cell_blobs(c))`` for each map without building the blobs:
+        a blob's peak clears ``conf_threshold`` exactly when one of its
+        cells does, so the blobs owning such a cell are counted per frame.
+        """
+        n, gh, _ = cells.shape
+        labels = labels.reshape(n, gh + 1, -1)[:, :gh]
+        where = np.nonzero(labels)
+        # float64, as cell_blobs compares the peak as a Python float.
+        strong = cells[where].astype(np.float64) >= self.conf_threshold
+        owner = np.full(n_labels + 1, n, dtype=np.intp)  # n = no strong cell
+        owner[labels[where][strong]] = where[0][strong]
+        return np.bincount(owner, minlength=n + 1)[:n]
 
     def _detect_from_cells(
         self, cells: np.ndarray, frame_hw: tuple[int, int]
@@ -303,41 +347,44 @@ class GridDetector:
         self, frame: np.ndarray, background: np.ndarray, kind: str | None = None
     ) -> int:
         """Number of detections (optionally restricted to ``kind``)."""
-        dets = self.detect(frame, background)
-        if kind is None:
-            return len(dets)
-        return sum(1 for d in dets if d.kind == kind)
+        return int(self.count_batch(np.asarray(frame)[None], background, kind)[0])
 
     def count_batch(
         self, frames: np.ndarray, background: np.ndarray, kind: str | None = None
     ) -> np.ndarray:
         """Vector of per-frame detection counts for an ``(N, H, W)`` batch."""
-        out = np.empty(len(frames), dtype=np.int64)
-        cells = self.response_cells(frames, background)
-        hw = frames.shape[-2:]
-        for i, c in enumerate(cells):
-            dets = self._detect_from_cells(c, hw)
-            if kind is not None:
-                dets = [d for d in dets if d.kind == kind]
-            out[i] = len(dets)
-        return out
+        return self._count(frames, background, kind, regions=False)[0]
 
     def count_and_regions(
         self, frames: np.ndarray, background: np.ndarray, kind: str | None = None
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Per-frame counts plus proposed ROIs from one response pass.
 
-        Trace building records both observables; computing the response
-        cells once and deriving counts and :meth:`propose_regions` boxes
-        from them halves the detector work versus two separate calls.
+        Trace building records both observables; the response cells are
+        computed and labelled once, and both the counts and the
+        :meth:`propose_regions` boxes derive from that.
         """
+        return self._count(frames, background, kind, regions=True)
+
+    def _count(
+        self, frames: np.ndarray, background: np.ndarray, kind: str | None, regions: bool
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Counts (and ROIs if asked) of ``frames``, :data:`FRAME_CHUNK` at a time."""
         frames = np.asarray(frames)
-        cells = self.response_cells(frames, background)
         counts = np.empty(len(frames), dtype=np.int64)
-        hw = frames.shape[-2:]
-        for i, c in enumerate(cells):
-            dets = self._detect_from_cells(c, hw)
-            if kind is not None:
-                dets = [d for d in dets if d.kind == kind]
-            counts[i] = len(dets)
-        return counts, self.propose_regions(cells)
+        rois: list[np.ndarray] = []
+        for start in range(0, len(frames), FRAME_CHUNK):
+            cells = self.response_cells(frames[start : start + FRAME_CHUNK], background)
+            labels, n_labels = self._label(cells)
+            if kind is None:
+                chunk = self._blob_counts(cells, labels, n_labels)
+            else:  # class comes from box geometry: build the detections
+                hw = frames.shape[-2:]
+                chunk = [
+                    sum(d.kind == kind for d in self._detect_from_cells(c, hw))
+                    for c in cells
+                ]
+            counts[start : start + len(cells)] = chunk
+            if regions:
+                rois.extend(self._regions(labels, *cells.shape[:2]))
+        return counts, rois

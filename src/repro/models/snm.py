@@ -40,7 +40,7 @@ from ..nn import (
     softmax,
     train_classifier,
 )
-from ..video.ops import get_resize_plan, resize_bilinear
+from ..video.ops import frame_median, get_resize_plan, resize_bilinear
 
 __all__ = ["SNMConfig", "SNM", "FusedSNM", "train_snm"]
 
@@ -156,7 +156,7 @@ class SNM:
                 buf = self._resized = np.empty(shape, dtype=np.float32)
             resized = plan.apply(batch, out=buf)
         bg = self._bg_small
-        gain = (np.median(resized, axis=(1, 2)) / self._bg_med)[:, None, None]
+        gain = (frame_median(resized) / self._bg_med)[:, None, None]
         diff = (resized - bg[None] * gain) / _DIFF_SCALE
         return diff[:, None, :, :]
 

@@ -14,6 +14,10 @@ out_hw)`` pair millions of times, so the gather indices and interpolation
 weights are precomputed once into a :class:`ResizePlan` (LRU-cached per
 shape pair via :func:`get_resize_plan`) and each call does only
 fancy-indexed gathers plus fused multiply-adds — never index math.
+
+:func:`frame_median` and :func:`block_reduce_mean` are the other two passes
+every detector call makes over a frame; both return exactly what the NumPy
+expression they replace returns (DESIGN.md section 8).
 """
 
 from __future__ import annotations
@@ -27,27 +31,38 @@ __all__ = [
     "ResizePlan",
     "get_resize_plan",
     "resize_bilinear",
+    "frame_median",
     "block_reduce_mean",
     "to_float01",
     "normalize_unit",
 ]
+
+#: Frames per pass of the batched kernels.  Per-frame results are
+#: independent, so walking a large batch in chunks changes nothing but the
+#: size of the temporaries (a 600-frame label pass at 208x208 would
+#: otherwise hold ~100 MB per intermediate).
+FRAME_CHUNK = 64
 
 
 class ResizePlan:
     """Precomputed bilinear-resize gathers and weights for one shape pair.
 
     Sample positions follow the "half-pixel centers" convention so that up-
-    and down-scaling are both well behaved at the borders.  The plan stores
-    flattened gather indices for the four neighbours plus the row/column
-    interpolation weights, so :meth:`apply` is a fixed sequence of four
-    ``take``-style gathers and in-place FMAs over ``(N, OH*OW)`` — identical
-    results to recomputing the indices per call, at a fraction of the cost.
+    and down-scaling are both well behaved at the borders.  Bilinear
+    interpolation is separable, and :meth:`apply` runs it that way: every
+    *used* source row is interpolated along x once (two gathers of
+    ``(N, R*OW)``), then output rows are blended from those (two row
+    copies of ``(N, OH, OW)``).  Each output pixel sees the same operands
+    in the same order as the four-neighbour formula
+    ``(a*(1-wx) + b*wx)*(1-wy) + (c*(1-wx) + d*wx)*wy``, so results are
+    bit-identical to it; an up-sample simply stops repeating the x pass for
+    every output row that shares a source row.
 
     The index/weight tables are immutable after construction; the only
-    mutable state is a *thread-local* pool of gather scratch buffers (the
-    four neighbour temporaries are each ``(N, OH*OW)`` float32 and would
-    otherwise be reallocated per call — at stage-batch sizes that malloc
-    churn costs as much as the gathers themselves).  Thread locality keeps
+    mutable state is a *thread-local* pool of scratch buffers (reallocating
+    them per call costs as much as the gathers at stage-batch sizes).
+    Batches are walked in chunks of :data:`FRAME_CHUNK` frames, so the pool
+    never outgrows one chunk however large a call is.  Thread locality keeps
     one plan safely shared across threads (the per-stream and shared-stage
     workers of the threaded runtime all hit the same LRU cache).
     """
@@ -56,14 +71,14 @@ class ResizePlan:
         "in_hw",
         "out_hw",
         "identity",
-        "_i00",
-        "_i01",
-        "_i10",
-        "_i11",
-        "_wy",
-        "_iwy",
+        "_i0",
+        "_i1",
+        "_r0",
+        "_r1",
         "_wx",
         "_iwx",
+        "_wy",
+        "_iwy",
         "_tls",
     )
 
@@ -79,7 +94,7 @@ class ResizePlan:
         self.identity = (oh, ow) == (h, w)
         self._tls = threading.local()
         if self.identity:
-            self._i00 = self._i01 = self._i10 = self._i11 = None
+            self._i0 = self._i1 = self._r0 = self._r1 = None
             self._wy = self._iwy = self._wx = self._iwx = None
             return
 
@@ -91,27 +106,28 @@ class ResizePlan:
         x0 = np.floor(xs).astype(np.intp)
         y1 = np.minimum(y0 + 1, h - 1)
         x1 = np.minimum(x0 + 1, w - 1)
-        wy = (ys - y0).astype(np.float32)
-        wx = (xs - x0).astype(np.float32)
 
-        # Flattened gather indices into a row-major (H*W) image; flattened
-        # weights broadcast over (OH*OW) so apply() runs on 2-D operands.
-        self._i00 = (y0[:, None] * w + x0[None, :]).ravel()
-        self._i01 = (y0[:, None] * w + x1[None, :]).ravel()
-        self._i10 = (y1[:, None] * w + x0[None, :]).ravel()
-        self._i11 = (y1[:, None] * w + x1[None, :]).ravel()
-        self._wy = np.repeat(wy, ow)
-        self._iwy = np.float32(1.0) - self._wy
-        self._wx = np.tile(wx, oh)
+        # x pass: flattened gather indices of the left/right neighbours into
+        # a row-major (H*W) image, for the source rows some output row uses.
+        # y pass: each output row's top/bottom position among those rows.
+        rows, pos = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+        self._r0, self._r1 = pos[:oh], pos[oh:]
+        self._i0 = (rows[:, None] * w + x0[None, :]).ravel()
+        self._i1 = (rows[:, None] * w + x1[None, :]).ravel()
+        # Weights are tiled to the flattened operands they scale, so every
+        # multiply is one long contiguous loop, not a short one per row.
+        self._wx = np.tile((xs - x0).astype(np.float32), len(rows))
         self._iwx = np.float32(1.0) - self._wx
+        self._wy = np.repeat((ys - y0).astype(np.float32), ow).reshape(oh, ow)
+        self._iwy = np.float32(1.0) - self._wy
 
     def apply(self, img: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Resize ``img`` (``(H, W)`` or ``(N, H, W)``) using this plan.
 
         ``out``, when given, must be a ``float32`` array of the batch output
         shape ``(N, OH, OW)`` (or ``(OH, OW)`` for a single image); the
-        result is written into it and returned, so steady-state callers can
-        run allocation-free apart from the gather temporaries.
+        result is written into it and returned, so steady-state callers run
+        allocation-free.
 
         Identity plans return the input itself (as ``float32``) — see
         :func:`resize_bilinear` for the aliasing contract.
@@ -134,45 +150,50 @@ class ResizePlan:
             return res
         n = arr.shape[0]
         oh, ow = self.out_hw
-        flat = arr.reshape(n, -1)
-        # Four neighbour gathers into this thread's scratch buffers (mode
-        # "clip" skips the wraparound branch; the indices are in range by
-        # construction).  The interpolation then runs fully in-place on the
-        # scratch (same op order as the unplanned formula, so results are
-        # bit-identical to recomputing indices per call).
-        ia, ib, ic, id_ = self._gather_scratch(n, oh * ow)
-        np.take(flat, self._i00, axis=1, out=ia, mode="clip")
-        np.take(flat, self._i01, axis=1, out=ib, mode="clip")
-        np.take(flat, self._i10, axis=1, out=ic, mode="clip")
-        np.take(flat, self._i11, axis=1, out=id_, mode="clip")
-        np.multiply(ia, self._iwx, out=ia)
-        np.multiply(ib, self._wx, out=ib)
-        np.add(ia, ib, out=ia)  # top row interpolation
-        np.multiply(ic, self._iwx, out=ic)
-        np.multiply(id_, self._wx, out=id_)
-        np.add(ic, id_, out=ic)  # bottom row interpolation
-        np.multiply(ia, self._iwy, out=ia)
-        np.multiply(ic, self._wy, out=ic)
-        if out is not None:
+        if out is None:
+            target = np.empty((n, oh, ow), dtype=np.float32)
+        else:
             target = out[None] if (single and out.ndim == 2) else out
             if target.shape != (n, oh, ow):
                 raise ValueError(
                     f"out must have shape {(n, oh, ow)}, got {out.shape}"
                 )
-            np.add(ia, ic, out=target.reshape(n, -1))
+        flat = arr.reshape(n, -1)
+        for start in range(0, n, FRAME_CHUNK):
+            stop = start + FRAME_CHUNK
+            self._apply_chunk(flat[start:stop], target[start:stop])
+        if out is not None:
             return out
-        res = np.add(ia, ic).reshape(n, oh, ow)
-        return res[0] if single else res
+        return target[0] if single else target
 
-    def _gather_scratch(self, n: int, npix: int) -> tuple[np.ndarray, ...]:
-        """This thread's four gather buffers, grown to cover ``(n, npix)``."""
+    def _apply_chunk(self, flat: np.ndarray, target: np.ndarray) -> None:
+        """Resize ``flat`` (``(M, H*W)``, ``M <= FRAME_CHUNK``) into ``target``."""
+        m = len(flat)
+        left, right, bottom = (buf[:m] for buf in self._scratch())
+        # Mode "clip" skips the wraparound branch; the indices are in range
+        # by construction.  All arithmetic is in place on the scratch.
+        np.take(flat, self._i0, axis=1, out=left, mode="clip")
+        np.take(flat, self._i1, axis=1, out=right, mode="clip")
+        np.multiply(left, self._iwx, out=left)
+        np.multiply(right, self._wx, out=right)
+        np.add(left, right, out=left)  # every used source row, x-interpolated
+        rows = left.reshape(m, -1, self.out_hw[1])
+        np.take(rows, self._r0, axis=1, out=target, mode="clip")
+        np.take(rows, self._r1, axis=1, out=bottom, mode="clip")
+        np.multiply(target, self._iwy, out=target)
+        np.multiply(bottom, self._wy, out=bottom)
+        np.add(target, bottom, out=target)
+
+    def _scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This thread's buffers: two x-pass operands and the bottom rows."""
         bufs = getattr(self._tls, "bufs", None)
-        if bufs is None or bufs[0].shape[0] < n:
-            bufs = tuple(np.empty((n, npix), dtype=np.float32) for _ in range(4))
-            self._tls.bufs = bufs
-        if bufs[0].shape[0] == n:
-            return bufs
-        return tuple(b[:n] for b in bufs)
+        if bufs is None:
+            bufs = self._tls.bufs = (
+                np.empty((FRAME_CHUNK, len(self._i0)), dtype=np.float32),
+                np.empty((FRAME_CHUNK, len(self._i0)), dtype=np.float32),
+                np.empty((FRAME_CHUNK, *self.out_hw), dtype=np.float32),
+            )
+        return bufs
 
     def __call__(self, img: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return self.apply(img, out=out)
@@ -222,11 +243,38 @@ def resize_bilinear(
     return out[0] if single else out
 
 
+def frame_median(batch: np.ndarray) -> np.ndarray:
+    """Per-frame median of an ``(N, H, W)`` float32 batch, as ``(N,)``.
+
+    Equal to ``np.median(batch, axis=(1, 2))`` for **finite** input at a
+    fraction of its cost: one single-``kth`` selection of the upper middle
+    element, then the largest element of the lower part for even pixel
+    counts (``np.median`` selects both middles and a NaN sentinel in one
+    three-``kth`` pass).  NaNs are not propagated — callers pass rendered
+    or resized frames, which are finite.
+    """
+    flat = batch.reshape(len(batch), -1)
+    k = flat.shape[1] // 2
+    part = np.partition(flat, k, axis=1)
+    upper = part[:, k]
+    if flat.shape[1] % 2:
+        return upper.copy()  # not a view that pins the partitioned copy
+    return (part[:, :k].max(axis=1) + upper) / np.float32(2.0)
+
+
 def block_reduce_mean(img: np.ndarray, factor: int) -> np.ndarray:
     """Downsample by an integer ``factor`` using non-overlapping block means.
 
     Trailing rows/columns that do not fill a complete block are dropped,
     mirroring the behaviour of area-interpolation decimation.
+
+    The result is that of ``blocks.mean(axis=(2, 4))`` over the
+    ``(N, H/f, f, W/f, f)`` view.  For the detectors' factors (4 and 8) the
+    same additions run as whole-array adds in the order NumPy's reduction
+    performs them on a C-contiguous image — each block row summed first
+    (left to right below 8 elements, the pairwise tree at 8), block rows
+    then accumulated top to bottom — which is bit-identical and skips the
+    5-D iterator.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
@@ -238,8 +286,21 @@ def block_reduce_mean(img: np.ndarray, factor: int) -> np.ndarray:
     hh, ww = h // factor, w // factor
     if hh == 0 or ww == 0:
         raise ValueError(f"factor {factor} too large for image of shape {(h, w)}")
-    view = arr[:, : hh * factor, : ww * factor]
-    out = view.reshape(n, hh, factor, ww, factor).mean(axis=(2, 4))
+    blocks = arr[:, : hh * factor, : ww * factor].reshape(n, hh, factor, ww, factor)
+    # With one block column NumPy folds the two block axes into one
+    # reduction, and another layout iterates in another order: reduce there.
+    if factor in (4, 8) and ww > 1 and arr.flags.c_contiguous:
+        c = [blocks[..., k] for k in range(factor)]
+        if factor == 4:
+            rows = ((c[0] + c[1]) + c[2]) + c[3]
+        else:
+            rows = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
+        out = rows[:, :, 0] + rows[:, :, 1]
+        for r in range(2, factor):
+            out += rows[:, :, r]
+        out /= np.float32(factor * factor)
+    else:
+        out = blocks.mean(axis=(2, 4))
     return out[0] if single else out
 
 

@@ -45,8 +45,9 @@ N_FRAMES = 240
 def fleet():
     """Two small trained streams plus their traces (one model zoo).
 
-    Two streams keep the threaded run long enough (~1 s wall) for the
-    admission window to fill on the wall clock as well as the virtual one.
+    Two streams keep the threaded run long enough (~0.35 s wall) for the
+    tests' 0.15 s admission window to fill on the wall clock as well as the
+    virtual one.
     """
     zoo = ModelZoo()
     streams, traces = [], []
@@ -86,7 +87,7 @@ class TestCrossRuntimeAdmission:
         # Threshold far above any achievable rate + a short window: every
         # runtime must conclude "spare capacity" exactly once.
         streams, traces, zoo = fleet
-        config = _loop_config(admission_tyolo_fps=1e9, admission_window=0.5)
+        config = _loop_config(admission_tyolo_fps=1e9, admission_window=0.15)
         m_real = ThreadedPipeline(streams, zoo, config).run()
         m_sim = PipelineSimulator(traces, config, online=False).run()
         assert self._labels(m_real) == ["admit"]
@@ -98,7 +99,7 @@ class TestCrossRuntimeAdmission:
         # A zero threshold can never be satisfied (strict <): no
         # transition is ever logged by either runtime.
         streams, traces, zoo = fleet
-        config = _loop_config(admission_tyolo_fps=0.0, admission_window=0.5)
+        config = _loop_config(admission_tyolo_fps=0.0, admission_window=0.15)
         m_real = ThreadedPipeline(streams, zoo, config).run()
         m_sim = PipelineSimulator(traces, config, online=False).run()
         assert self._labels(m_real) == []

@@ -2,9 +2,12 @@
 
 The fast path is default-on, so these tests pin its one invariant: outputs
 must be **bit-identical** to the straightforward implementations.  The
-reference resize below recomputes gather indices per call (the pre-plan
-implementation); ``Sequential.predict`` is checked against training-mode
-``forward`` with dropout disabled.
+reference resize below recomputes gather indices per call and blends the
+four neighbours of every output pixel (the pre-plan implementation);
+``frame_median``, ``block_reduce_mean`` and the batched blob count are
+checked against the NumPy expression / per-frame loop each replaces;
+``Sequential.predict`` is checked against training-mode ``forward`` with
+dropout disabled.
 """
 
 import numpy as np
@@ -12,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.trace import build_trace
+from repro.models import ModelZoo
 from repro.models.griddet import GridDetector
 from repro.models.sdd import SDD
 from repro.models.snm import SNM, SNMConfig, build_snm_network
@@ -25,9 +30,18 @@ from repro.nn import (
     ReLU,
     Sequential,
 )
+from repro.nn import TrainConfig
 from repro.nn.layers import im2col
 from repro.obs import EventBus
-from repro.video.ops import ResizePlan, get_resize_plan, resize_bilinear
+from repro.video import jackson, make_stream
+from repro.video.ops import (
+    FRAME_CHUNK,
+    ResizePlan,
+    block_reduce_mean,
+    frame_median,
+    get_resize_plan,
+    resize_bilinear,
+)
 
 
 def reference_resize(img: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
@@ -63,24 +77,58 @@ def reference_resize(img: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     return out[0] if single else out
 
 
+def reference_block_mean(arr: np.ndarray, factor: int) -> np.ndarray:
+    """Block means as the plain 5-D reduction (what the fast path replaces)."""
+    n, h, w = arr.shape
+    hh, ww = h // factor, w // factor
+    view = arr[:, : hh * factor, : ww * factor]
+    return view.reshape(n, hh, factor, ww, factor).mean(axis=(2, 4))
+
+
+def blob_counts(det: GridDetector, cells: np.ndarray) -> np.ndarray:
+    labels, n_labels = det._label(cells)
+    return det._blob_counts(cells, labels, n_labels)
+
+
 class TestResizePlan:
-    @settings(max_examples=60, deadline=None)
+    # Up-, down- and mixed-scale pairs, 1-pixel axes and the identity all
+    # fall out of the ranges; n == 0 means a single (H, W) image.
+    @settings(max_examples=120, deadline=None)
     @given(
-        h=st.integers(2, 48),
-        w=st.integers(2, 48),
-        oh=st.integers(1, 40),
-        ow=st.integers(1, 40),
-        n=st.integers(0, 4),  # 0 means single image
+        h=st.integers(1, 48),
+        w=st.integers(1, 48),
+        oh=st.integers(1, 56),
+        ow=st.integers(1, 56),
+        n=st.sampled_from([0, 1, 2, 16]),
+        use_out=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def test_planned_equals_unplanned(self, h, w, oh, ow, n, seed):
+    def test_planned_equals_unplanned(self, h, w, oh, ow, n, use_out, seed):
         rng = np.random.default_rng(seed)
         shape = (h, w) if n == 0 else (n, h, w)
         img = rng.random(shape, dtype=np.float32)
         want = reference_resize(img, (oh, ow))
-        got = resize_bilinear(img, (oh, ow))
+        if use_out:
+            buf = np.full(want.shape, np.nan, dtype=np.float32)
+            got = get_resize_plan((h, w), (oh, ow)).apply(img, out=buf)
+            assert got is buf
+        else:
+            got = resize_bilinear(img, (oh, ow))
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+    def test_large_batches_are_walked_in_chunks(self):
+        # More frames than one pass holds, into a non-contiguous ``out``:
+        # same pixels, and the thread's scratch stays one chunk deep.
+        rng = np.random.default_rng(11)
+        n = 2 * FRAME_CHUNK + 3
+        img = rng.random((n, 9, 14), dtype=np.float32)
+        plan = ResizePlan((9, 14), (20, 11))
+        wide = np.empty((n, 20, 22), dtype=np.float32)
+        got = plan.apply(img, out=wide[:, :, ::2])
+        assert np.array_equal(got, reference_resize(img, (20, 11)))
+        assert np.array_equal(plan.apply(img), got)
+        assert all(len(buf) == FRAME_CHUNK for buf in plan._scratch())
 
     def test_out_buffer_path(self):
         rng = np.random.default_rng(0)
@@ -117,6 +165,146 @@ class TestResizePlan:
         plan = ResizePlan((10, 10), (5, 5))
         with pytest.raises(ValueError, match="out must have shape"):
             plan.apply(np.zeros((2, 10, 10), np.float32), out=np.zeros((2, 4, 5), np.float32))
+
+
+class TestFrameMedian:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        h=st.integers(1, 9),  # odd and even pixel counts
+        w=st.integers(1, 9),
+        values=st.sampled_from(["uniform", "ties", "constant", "signed-zero"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_np_median(self, n, h, w, values, seed):
+        rng = np.random.default_rng(seed)
+        if values == "uniform":
+            batch = rng.random((n, h, w), dtype=np.float32) - np.float32(0.5)
+        elif values == "ties":
+            batch = rng.integers(-2, 3, (n, h, w)).astype(np.float32)
+        elif values == "constant":
+            batch = np.full((n, h, w), rng.random() - 0.5, dtype=np.float32)
+        else:
+            batch = rng.choice(np.array([0.0, -0.0, 1.0, -1.0], np.float32), (n, h, w))
+        want = np.median(batch, axis=(1, 2))
+        got = frame_median(batch)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_leaves_input_untouched(self):
+        batch = np.random.default_rng(12).random((3, 8, 8), dtype=np.float32)
+        before = batch.copy()
+        frame_median(batch)
+        assert np.array_equal(batch, before)
+
+
+class TestBlockReduceMean:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        factor=st.integers(1, 9),
+        n=st.integers(0, 3),  # 0 means single image
+        blocks_h=st.integers(1, 5),
+        blocks_w=st.integers(1, 5),
+        extra_h=st.integers(0, 3),  # trailing remainder, dropped
+        extra_w=st.integers(0, 3),
+        layout=st.sampled_from(["contiguous", "strided", "transposed"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_reshape_mean(
+        self, factor, n, blocks_h, blocks_w, extra_h, extra_w, layout, seed
+    ):
+        rng = np.random.default_rng(seed)
+        h = blocks_h * factor + min(extra_h, factor - 1)
+        w = blocks_w * factor + min(extra_w, factor - 1)
+        scale = np.float32(10.0 ** int(rng.integers(-3, 4)))
+        if layout == "transposed":
+            arr = rng.random((max(n, 1), w, h), dtype=np.float32).transpose(0, 2, 1)
+        elif layout == "strided":
+            arr = rng.random((max(n, 1), h, 2 * w), dtype=np.float32)[:, :, ::2]
+        else:
+            arr = rng.random((max(n, 1), h, w), dtype=np.float32)
+        arr = (arr - np.float32(0.3)) * scale if layout == "contiguous" else arr
+        want = reference_block_mean(arr, factor)
+        got = block_reduce_mean(arr[0] if n == 0 else arr, factor)
+        assert np.array_equal(got, want[0] if n == 0 else want)
+
+    @pytest.mark.parametrize("res,factor", [(208, 4), (104, 8)])
+    def test_detector_geometries(self, res, factor):
+        resp = np.random.default_rng(13).random((5, res, res), dtype=np.float32)
+        assert np.array_equal(
+            block_reduce_mean(resp, factor), reference_block_mean(resp, factor)
+        )
+
+
+class TestBatchedBlobCount:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        gh=st.integers(1, 8),
+        gw=st.integers(1, 8),
+        level=st.sampled_from([0.1, 0.3, 0.6]),  # all-inactive ... dense
+        activation=st.sampled_from([0.15, 0.25, -0.1]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_per_frame_cell_blobs(self, n, gh, gw, level, activation, seed):
+        # Dense random maps put blobs on every border, including the last
+        # row (next to the separator) and the last column.
+        cells = np.random.default_rng(seed).random((n, gh, gw), dtype=np.float32)
+        cells *= np.float32(level)
+        det = GridDetector(cell_activation=activation)
+        want = [len(det.cell_blobs(c)) for c in cells]
+        got = blob_counts(det, cells)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+    def test_blob_on_last_row_stays_in_its_frame(self):
+        det = GridDetector()
+        cells = np.zeros((3, 4, 4), dtype=np.float32)
+        cells[0, 3, :] = 0.5  # bottom row of frame 0 ...
+        cells[1, 0, :] = 0.5  # ... directly above the top row of frame 1
+        cells[2, :, 3] = 0.18  # active (> 0.15) but never confident (< 0.2)
+        assert blob_counts(det, cells).tolist() == [1, 1, 0]
+
+    def test_counts_through_the_detector(self):
+        rng = np.random.default_rng(14)
+        det = GridDetector()
+        bg = np.full((60, 90), 0.45, dtype=np.float32)
+        frames = np.repeat(bg[None], 6, axis=0)
+        frames[1, 10:30, 10:30] += 0.4
+        frames[2, 50:, 70:] += 0.4  # touches the last row and column
+        frames[4, 5:20, 5:20] += 0.4
+        frames[4, 35:55, 60:85] -= 0.3
+        frames += rng.normal(0, 0.005, frames.shape).astype(np.float32)
+        per_frame = [len(det.detect(f, bg)) for f in frames]
+        assert per_frame == [0, 1, 1, 0, 2, 0]
+        assert det.count_batch(frames, bg).tolist() == per_frame
+        assert [det.count(f, bg) for f in frames] == per_frame
+        counts, regions = det.count_and_regions(frames, bg)
+        assert counts.tolist() == per_frame
+        want_regions = det.propose_regions(det.response_cells(frames, bg))
+        assert all(np.array_equal(a, b) for a, b in zip(regions, want_regions, strict=True))
+        # kind set: the per-detection path, which knows box geometry.
+        for kind in ("car", "person"):
+            want = [sum(d.kind == kind for d in det.detect(f, bg)) for f in frames]
+            assert det.count_batch(frames, bg, kind).tolist() == want
+        # no frames, and nothing active anywhere
+        assert det.count_batch(frames[:0], bg).shape == (0,)
+        assert det.count_batch(np.repeat(bg[None], 3, axis=0), bg).tolist() == [0, 0, 0]
+
+    def test_label_pass_chunks_leave_counts_unchanged(self):
+        # A training-sized call: same labels as frame-by-frame, and the
+        # detector's working buffers stay one chunk deep.
+        det = GridDetector(grid=13, resolution=52)
+        rng = np.random.default_rng(15)
+        bg = np.full((40, 60), 0.45, dtype=np.float32)
+        frames = np.repeat(bg[None], 2 * FRAME_CHUNK + 7, axis=0)
+        for i in rng.choice(len(frames), 40, replace=False):
+            y, x = rng.integers(0, 25), rng.integers(0, 45)
+            frames[i, y : y + 12, x : x + 12] += 0.4
+        want = [det.count(f, bg) for f in frames]
+        assert 0 < sum(want) < len(frames)
+        assert det.count_batch(frames, bg).tolist() == want
+        assert len(det._resized) <= FRAME_CHUNK
 
 
 class TestIm2ColOut:
@@ -219,6 +407,82 @@ class TestPredictEquivalence:
         out = net.forward(x)
         net.backward(np.ones_like(out))
         assert float(np.abs(net.layers[0].grads["W"]).sum()) > 0
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """A short trained stream: (stream, zoo, bundle, all its pixels)."""
+    stream = make_stream(jackson(), 160, tor=0.5, seed=43)
+    zoo = ModelZoo()
+    bundle = zoo.train_for_stream(
+        stream,
+        n_train_frames=80,
+        stride=2,
+        train_config=TrainConfig(epochs=2, batch_size=32, seed=7),
+    )
+    return stream, zoo, bundle, stream.pixel_batch(np.arange(len(stream)))
+
+
+def model_outputs(trained) -> dict[str, np.ndarray]:
+    """Everything the cascade reads off the kernels, for one trained stream."""
+    stream, zoo, bundle, px = trained
+    bg = bundle.background
+    out = {
+        "sdd": bundle.sdd.distances(px),
+        "snm": bundle.snm.predict_proba(px),
+    }
+    for name, model in (("tyolo", zoo.tyolo), ("ref", zoo.reference)):
+        out[f"{name}.cells"] = model.detector.response_cells(px, bg)
+        for b in (1, 2, 16):
+            out[f"{name}.counts.b{b}"] = np.concatenate(
+                [model.count_batch(px[i : i + b], bg) for i in range(0, 48, b)]
+            )
+    trace = build_trace(stream, zoo, with_ref=True, chunk=64)
+    for field in ("sdd_dist", "snm_prob", "tyolo_count", "ref_count", "mosaic_regions"):
+        out[f"trace.{field}"] = getattr(trace, field)
+    return out
+
+
+class TestModelLevelEquality:
+    def test_models_match_reference_kernels(self, trained, monkeypatch):
+        fast = model_outputs(trained)
+        assert fast["ref.counts.b1"].any() and fast["trace.tyolo_count"].any()
+
+        stream, zoo, bundle, _ = trained
+        used = set()
+
+        def plain_apply(self, img, out=None):
+            used.add("resize")
+            res = reference_resize(img, self.out_hw)
+            if out is None:
+                return res
+            np.copyto(out, res)
+            return out
+
+        def plain_median(batch):
+            used.add("median")
+            return np.median(batch, axis=(1, 2))
+
+        def plain_block_mean(img, factor):
+            used.add("block_mean")
+            return reference_block_mean(np.asarray(img, dtype=np.float32), factor)
+
+        def plain_blob_counts(self, cells, labels, n_labels):
+            used.add("blob_counts")
+            return [len(self.cell_blobs(c)) for c in cells]
+
+        monkeypatch.setattr(ResizePlan, "apply", plain_apply)
+        monkeypatch.setattr("repro.models.griddet.frame_median", plain_median)
+        monkeypatch.setattr("repro.models.snm.frame_median", plain_median)
+        monkeypatch.setattr("repro.models.griddet.block_reduce_mean", plain_block_mean)
+        monkeypatch.setattr(GridDetector, "_blob_counts", plain_blob_counts)
+        for model in (zoo.tyolo, zoo.reference):
+            model.detector._bg_cache.clear()  # resize the background plainly too
+        plain = model_outputs(trained)
+        assert used == {"resize", "median", "block_mean", "blob_counts"}
+        assert fast.keys() == plain.keys()
+        for key, want in plain.items():
+            assert np.array_equal(fast[key], want), key
 
 
 class TestDetectorFastPath:

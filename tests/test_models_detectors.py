@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.models import ReferenceModel, TYolo, classify_kind
+from repro.models import griddet
 from repro.models.griddet import GridDetector
 from repro.models.tyolo import count_filter_mask
 from repro.video import coral, jackson, make_stream
+from repro.video.ops import resize_bilinear
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +126,37 @@ class TestGridDetector:
         det = GridDetector()
         bg = np.full((80, 120), 0.45, dtype=np.float32)
         assert det._resized_background(bg) is det._resized_background(bg)
+
+    def test_alternating_streams_resize_each_background_once(self, monkeypatch):
+        # Regression: the cache used to hold one entry, so two streams
+        # taking turns on a shared detector (every T-YOLO round-robin turn,
+        # most reference calls) re-resized a background on every call.
+        resizes = []
+
+        def counting_resize(img, out_hw, **kw):
+            resizes.append(out_hw)
+            return resize_bilinear(img, out_hw, **kw)
+
+        monkeypatch.setattr(griddet, "resize_bilinear", counting_resize)
+        det = GridDetector()
+        frame, bg_a = synthetic_frame_with_blob(n_blobs=2)
+        bg_b = np.zeros_like(bg_a)
+        for _ in range(25):
+            assert det.count(frame, bg_a) == 2
+            assert det.count(frame, bg_b) == 1
+        assert resizes == [(det.resolution, det.resolution)] * 2
+
+    def test_background_cache_is_bounded(self):
+        det = GridDetector()
+        frame, bg = synthetic_frame_with_blob(n_blobs=1)
+        backgrounds = [bg.copy() for _ in range(griddet._BG_CACHE_SIZE + 5)]
+        for b in backgrounds:
+            assert det.count(frame, b) == 1
+        assert len(det._bg_cache) == griddet._BG_CACHE_SIZE
+        # The oldest entries went; an evicted background is simply redone.
+        assert id(backgrounds[0]) not in det._bg_cache
+        assert id(backgrounds[-1]) in det._bg_cache
+        assert det.count(frame, backgrounds[0]) == 1
 
 
 class TestClassifyKind:
