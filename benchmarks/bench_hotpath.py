@@ -1,16 +1,19 @@
-"""Hot-path microbenchmarks: the inference fast path vs the naive path.
+"""Hot-path microbenchmarks: the shipped fast paths vs the naive ones.
 
 FFS-VA's premise is that the cheap filters run orders of magnitude faster
 than the reference model, so the reproduction's per-frame overhead — stage
 resize, SNM forward passes, grid-detector response maps — must stay small
-*and keep staying small*.  This suite measures each hot path twice:
+*and keep staying small*; and specialising a stream only pays if the SNM
+fit is cheap next to analysing it.  This suite measures each hot path twice:
 
 * **before** — the straightforward implementation (per-call resize index
-  math, training-machinery ``forward`` with backward caches), kept alive
-  here as reference code;
+  math, training-machinery ``forward`` with backward caches, the training
+  path's 6-D pooling views and first-layer input gradient), kept alive
+  here and in ``tests/parent_training.py`` as reference code;
 * **after**  — the shipped fast path (cached separable
   :class:`ResizePlan`, ``frame_median``, ordered ``block_reduce_mean``,
-  batched blob count, ``Sequential.predict``, per-instance buffers).
+  batched blob count, ``Sequential.predict``, per-instance buffers, slice
+  pooling and the parameter-only first-layer backward of a training step).
 
 Medians land in ``BENCH_hotpath.json`` at the repo root (committed, so the
 perf trajectory is reviewable per PR).  Correctness — fast path outputs
@@ -34,13 +37,16 @@ import platform
 import statistics
 import sys
 import time
+import types
 
 import numpy as np
 
 from repro.models.griddet import GridDetector
 from repro.models.sdd import SDD
 from repro.models.snm import SNMConfig, build_snm_network
+from repro.nn import SGD, Conv2D, MaxPool2D, ReLU, SoftmaxCrossEntropy
 from repro.video.ops import block_reduce_mean, frame_median, get_resize_plan
+from tests import parent_training as parent
 
 from .common import print_table, record_bench
 
@@ -94,6 +100,27 @@ def forward_eval(net, x: np.ndarray) -> np.ndarray:
     out = net.forward(x)
     net.set_training(True)
     return out
+
+
+def parent_formula_net(net):
+    """Rebind ``net``'s training path to the formulas in ``tests/parent_training.py``."""
+    for layer in net.layers:
+        if isinstance(layer, MaxPool2D):
+            layer.forward = types.MethodType(parent.pool_forward, layer)
+            layer.backward = types.MethodType(parent.pool_backward, layer)
+        elif isinstance(layer, ReLU):
+            layer.forward = types.MethodType(parent.relu_forward, layer)
+    net.backward = types.MethodType(parent.sequential_backward, net)
+    return net
+
+
+def train_step(net, opt, loss_fn, x, y):
+    """One SGD step as ``train_classifier`` takes it."""
+    opt.zero_grad()
+    loss = loss_fn(net.forward(x), y)
+    net.backward(loss_fn.backward(), input_grad=False)
+    opt.step()
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +346,81 @@ def build_cases(quick: bool) -> list[Case]:
 
     cases.append(
         Case("reference count b1 x2 streams", ref_before, ref_after, ref_check, 40 if quick else 200)
+    )
+
+    # The training path at the SNM fit's batch 64: the two pools (post-ReLU
+    # maps, so about half the entries tie at zero), conv1's backward, and a
+    # whole SGD step.
+    r = 10 if quick else 60
+
+    def pool_case(shape):
+        xp = np.maximum(rng.normal(size=shape), 0.0).astype(np.float32)
+        dp = rng.normal(size=(*shape[:2], shape[2] // 2, shape[3] // 2)).astype(np.float32)
+        pool_ref, pool = MaxPool2D(2), MaxPool2D(2)
+
+        def before():
+            return parent.pool_forward(pool_ref, xp), parent.pool_backward(pool_ref, dp)
+
+        def after():
+            return pool.forward(xp), pool.backward(dp)
+
+        cases.append(
+            Case(
+                f"maxpool fwd/bwd train b64 {shape}",
+                before,
+                after,
+                lambda: all(np.array_equal(a, b) for a, b in zip(after(), before())),
+                r,
+            )
+        )
+
+    pool_case((64, 8, 23, 23))
+    pool_case((64, 16, 9, 9))
+
+    x64 = rng.normal(size=(64, 1, 50, 50)).astype(np.float32)
+    y64 = rng.integers(0, 2, 64)
+    conv1 = Conv2D(1, 8, 5, stride=2, rng=np.random.default_rng(1))
+    dconv = rng.normal(size=conv1.forward(x64).shape).astype(np.float32)
+
+    def conv1_grads(**kw):
+        conv1.zero_grads()
+        conv1.backward(dconv, **kw)
+        return [g.copy() for g in conv1.grads.values()]
+
+    cases.append(
+        Case(
+            "conv1 backward (no input grad) b64",
+            lambda: conv1.backward(dconv),
+            lambda: conv1.backward(dconv, input_grad=False),
+            lambda: all(
+                np.array_equal(a, b) for a, b in zip(conv1_grads(input_grad=False), conv1_grads())
+            ),
+            r,
+        )
+    )
+
+    def stepper(net):
+        net.set_training(True)
+        opt, loss_fn = SGD(net, lr=0.04, momentum=0.9, weight_decay=1e-4), SoftmaxCrossEntropy()
+        return lambda: train_step(net, opt, loss_fn, x64, y64)
+
+    def step_check():
+        # Same initial weights (the config seeds them), three steps each.
+        nets = [build_snm_network(SNMConfig()), parent_formula_net(build_snm_network(SNMConfig()))]
+        losses = [[step() for _ in range(3)] for step in map(stepper, nets)]
+        states = [net.state_dict() for net in nets]
+        return losses[0] == losses[1] and all(
+            np.array_equal(states[0][k], states[1][k]) for k in states[1]
+        )
+
+    cases.append(
+        Case(
+            "SNM train step b64",
+            stepper(parent_formula_net(build_snm_network(SNMConfig()))),
+            stepper(build_snm_network(SNMConfig())),
+            step_check,
+            r,
+        )
     )
     return cases
 

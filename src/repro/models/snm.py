@@ -133,6 +133,12 @@ class SNM:
         """Signal that the network's weights changed in place."""
         self.version += 1
 
+    def release(self) -> None:
+        """Drop the batch-sized workspace (resize buffer, the layers' caches
+        and scratch); it re-grows to the next batch on first use."""
+        self._resized = None
+        self.network.release()
+
     # ------------------------------------------------------------------
     def preprocess(self, frames: np.ndarray) -> np.ndarray:
         """Produce the network input: scaled background deviation.
@@ -364,4 +370,8 @@ def train_snm(
     cal_idx, fit_idx = order[:n_cal], order[n_cal:]
     train_classifier(snm.network, x[fit_idx], labels[fit_idx], tc)
     snm.calibrate_thresholds(frames[cal_idx], labels[cal_idx])
+    # A trained SNM holds weights, not workspace: here that is sized by the
+    # training set and the calibration split, tens of MB against the paper's
+    # ~200 KB model.
+    snm.release()
     return snm

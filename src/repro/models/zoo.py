@@ -35,7 +35,13 @@ from .tyolo import TYolo
 
 __all__ = ["StreamModels", "ModelZoo", "SNM_MEMORY_BYTES"]
 
-#: Paper-reported SNM footprint: "about 200 KB GPU memory".
+#: Paper-reported SNM footprint: "about 200 KB GPU memory" — the figure the
+#: device layer charges per resident SNM.  It counts the model.  What a
+#: trained bundle holds here is ~125 KB: 15 KB of float32 weights and their
+#: gradients, the rest the stream's background at frame, SDD and SNM size.
+#: Not counted: the batch-sized scratch the layers grow on first use (0.2 MB
+#: at batch 1, 2.5 MB at 16), which ``train_snm`` releases so that an idle
+#: stream does not hold the tens of MB its training batches needed.
 SNM_MEMORY_BYTES = 200 * 1024
 
 

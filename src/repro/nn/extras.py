@@ -37,7 +37,6 @@ class BatchNorm2D(Layer):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
-        self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != len(self.running_mean):
@@ -73,7 +72,7 @@ class BatchNorm2D(Layer):
             + self.params["b"][None, :, None, None]
         )
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, *, input_grad: bool = True) -> np.ndarray:
         assert self._cache is not None, "backward called before forward"
         xhat, std, shape = self._cache
         n = shape[0] * shape[2] * shape[3]

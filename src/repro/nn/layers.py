@@ -13,7 +13,10 @@ Conventions
 * ``forward`` caches whatever the corresponding ``backward`` needs;
   ``backward`` receives the loss gradient w.r.t. the layer output and
   returns the gradient w.r.t. the layer input, accumulating parameter
-  gradients in ``grads``.
+  gradients in ``grads``.  ``backward(dout, input_grad=False)`` is for the
+  first layer of a network being trained, whose input gradient nobody
+  reads: same parameter gradients, and a layer that would pay for the
+  input gradient skips it and returns ``None``.
 * Convolution is implemented via **im2col** so the inner loop is a single
   GEMM — the standard trick for CPU inference performance (see the
   hpc-parallel guides: vectorize, avoid Python-level pixel loops).
@@ -132,12 +135,25 @@ class Layer:
         #: Inference scratch store (see :func:`_scratch`); not thread-safe —
         #: one network instance serves one worker at a time.
         self._bufs: dict[str, np.ndarray] = {}
+        #: What the last ``forward`` left for ``backward``.
+        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:  # pragma: no cover - interface
+    def backward(
+        self, dout: np.ndarray, *, input_grad: bool = True
+    ) -> np.ndarray | None:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def release(self) -> None:
+        """Drop the backward cache and the inference scratch.
+
+        Both are sized by the last batch seen and re-grow on next use; the
+        parameters are all a trained layer needs to keep.
+        """
+        self._cache = None
+        self._bufs.clear()
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Forward pass without backward caching; defaults to ``forward``."""
@@ -163,12 +179,11 @@ class Dense(Layer):
             "b": np.zeros(out_features, dtype=np.float32),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 2:
             raise ValueError(f"Dense expects (N, D) input, got shape {x.shape}")
-        self._x = x
+        self._cache = x
         return x @ self.params["W"] + self.params["b"]
 
     def infer(self, x: np.ndarray) -> np.ndarray:
@@ -180,11 +195,11 @@ class Dense(Layer):
         out += self.params["b"]
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        assert self._x is not None, "backward called before forward"
-        self.grads["W"] += self._x.T @ dout
+    def backward(self, dout: np.ndarray, *, input_grad: bool = True) -> np.ndarray | None:
+        assert self._cache is not None, "backward called before forward"
+        self.grads["W"] += self._cache.T @ dout
         self.grads["b"] += dout.sum(axis=0)
-        return dout @ self.params["W"].T
+        return dout @ self.params["W"].T if input_grad else None
 
 
 class Conv2D(Layer):
@@ -216,7 +231,6 @@ class Conv2D(Layer):
             "b": np.zeros(out_channels, dtype=np.float32),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -253,17 +267,18 @@ class Conv2D(Layer):
         np.copyto(out, gemm.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2))
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, *, input_grad: bool = True) -> np.ndarray | None:
         assert self._cache is not None, "backward called before forward"
         x_shape, cols, oh, ow = self._cache
         n = x_shape[0]
         k, s, p = self.kernel_size, self.stride, self.pad
         dflat = dout.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
-        wmat = self.params["W"].reshape(self.out_channels, -1)
         self.grads["W"] += (dflat.T @ cols).reshape(self.params["W"].shape)
         self.grads["b"] += dflat.sum(axis=0)
-        dcols = dflat @ wmat
-        return col2im(dcols, x_shape, k, k, s, p, oh, ow)
+        if not input_grad:
+            return None
+        wmat = self.params["W"].reshape(self.out_channels, -1)
+        return col2im(dflat @ wmat, x_shape, k, k, s, p, oh, ow)
 
 
 class MaxPool2D(Layer):
@@ -274,89 +289,84 @@ class MaxPool2D(Layer):
         if size < 1:
             raise ValueError("pool size must be >= 1")
         self.size = size
-        self._cache: tuple | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
+    def _windows(self, x: np.ndarray) -> list[np.ndarray]:
+        """The ``size**2`` strided slices of ``x`` holding one element of every
+        whole window each, all shaped like the pooled output."""
+        h, w = x.shape[2:]
         s = self.size
         oh, ow = h // s, w // s
         if oh == 0 or ow == 0:
             raise ValueError(f"pool size {s} too large for input {h}x{w}")
-        view = x[:, :, : oh * s, : ow * s].reshape(n, c, oh, s, ow, s)
-        out = view.max(axis=(3, 5))
-        # Mask of the (first) argmax positions, used to route gradients.
-        mask = view == out[:, :, :, None, :, None]
-        self._cache = (x.shape, mask, oh, ow)
+        return [
+            x[:, :, i : i + oh * s : s, j : j + ow * s : s] for i in range(s) for j in range(s)
+        ]
+
+    @staticmethod
+    def _maxima(wins: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+        """Window maxima into ``out``: ``size**2`` elementwise maxima over the
+        slices beat one reduction over a 6-D view, and max is exact, so the
+        result matches ``view.max(axis=(3, 5))`` bitwise."""
+        np.copyto(out, wins[0])
+        for win in wins[1:]:
+            np.maximum(out, win, out=out)
+        return out
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        wins = self._windows(x)
+        out = self._maxima(wins, np.empty(wins[0].shape, x.dtype))
+        # Masks of the argmax positions (every tied one), used to route gradients.
+        self._cache = (x.shape, [win == out for win in wins])
         return out
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        s = self.size
-        oh, ow = h // s, w // s
-        if oh == 0 or ow == 0:
-            raise ValueError(f"pool size {s} too large for input {h}x{w}")
-        out = _scratch(self._bufs, "y", (n, c, oh, ow), x.dtype)
-        # No argmax mask: inference never routes gradients.  s*s elementwise
-        # maxima over strided slices beat one reduction over a 6-D view, and
-        # max is exact so the result matches ``view.max(axis=(3, 5))`` bitwise.
-        np.copyto(out, x[:, :, : oh * s : s, : ow * s : s])
-        for i in range(s):
-            for j in range(s):
-                if i == 0 and j == 0:
-                    continue
-                np.maximum(out, x[:, :, i : i + oh * s : s, j : j + ow * s : s], out=out)
-        return out
+        # No argmax masks: inference never routes gradients.
+        wins = self._windows(x)
+        return self._maxima(wins, _scratch(self._bufs, "y", wins[0].shape, x.dtype))
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, *, input_grad: bool = True) -> np.ndarray:
         assert self._cache is not None, "backward called before forward"
-        x_shape, mask, oh, ow = self._cache
-        n, c, h, w = x_shape
-        s = self.size
+        x_shape, masks = self._cache
         # Ties split the gradient; normalize by the tie count per window.
-        ties = mask.sum(axis=(3, 5), keepdims=True)
-        dwin = mask * (dout[:, :, :, None, :, None] / ties)
+        ties = masks[0].astype(dout.dtype)
+        for mask in masks[1:]:
+            ties += mask
+        share = dout / ties
+        # Only rows/columns beyond the last whole window keep the fill.
         dx = np.zeros(x_shape, dtype=dout.dtype)
-        dx[:, :, : oh * s, : ow * s] = dwin.reshape(n, c, oh * s, ow * s)
+        for mask, win in zip(masks, self._windows(dx)):
+            np.multiply(mask, share, out=win)
         return dx
 
 
 class ReLU(Layer):
     """Rectified linear activation."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._mask: np.ndarray | None = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0).astype(x.dtype, copy=False)
+        self._cache = x > 0
+        return np.maximum(x, 0.0)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        out = _scratch(self._bufs, "y", x.shape, x.dtype)
-        return np.maximum(x, 0.0, out=out)
+        return np.maximum(x, 0.0, out=_scratch(self._bufs, "y", x.shape, x.dtype))
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        assert self._mask is not None, "backward called before forward"
-        return dout * self._mask
+    def backward(self, dout: np.ndarray, *, input_grad: bool = True) -> np.ndarray:
+        assert self._cache is not None, "backward called before forward"
+        return dout * self._cache
 
 
 class Flatten(Layer):
     """Collapse all but the batch dimension."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._shape: tuple | None = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+        self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        assert self._shape is not None, "backward called before forward"
-        return dout.reshape(self._shape)
+    def backward(self, dout: np.ndarray, *, input_grad: bool = True) -> np.ndarray:
+        assert self._cache is not None, "backward called before forward"
+        return dout.reshape(self._cache)
 
 
 class Dropout(Layer):
@@ -368,20 +378,19 @@ class Dropout(Layer):
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
         self.rng = rng or np.random.default_rng()
-        self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.training or self.rate == 0.0:
-            self._mask = None
+            self._cache = None
             return x
         keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep).astype(x.dtype) / keep
-        return x * self._mask
+        self._cache = (self.rng.random(x.shape) < keep).astype(x.dtype) / keep
+        return x * self._cache
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         return x
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+    def backward(self, dout: np.ndarray, *, input_grad: bool = True) -> np.ndarray:
+        if self._cache is None:
             return dout
-        return dout * self._mask
+        return dout * self._cache

@@ -22,10 +22,19 @@ class Sequential:
             x = layer.forward(x)
         return x
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, dout: np.ndarray, *, input_grad: bool = True) -> np.ndarray | None:
+        """Back-propagate ``dout``; returns the gradient w.r.t. the input.
+
+        ``input_grad=False`` (a training step: nobody reads that gradient)
+        asks the first layer for its parameter gradients only and returns
+        ``None``; every ``grads[...]`` is the same either way.
+        """
+        if not self.layers:
+            return dout
+        for layer in reversed(self.layers[1:]):
             dout = layer.backward(dout)
-        return dout
+        dx = self.layers[0].backward(dout, input_grad=input_grad)
+        return dx if input_grad else None
 
     def predict(self, x: np.ndarray, *, copy: bool = True) -> np.ndarray:
         """Inference fast path: ``forward`` outputs without backward caches.
@@ -70,6 +79,12 @@ class Sequential:
     def set_training(self, training: bool) -> None:
         for layer in self.layers:
             layer.training = training
+
+    def release(self) -> None:
+        """Drop every layer's backward cache and inference scratch (batch-sized
+        workspace, re-grown on next use); parameters are untouched."""
+        for layer in self.layers:
+            layer.release()
 
     def n_parameters(self) -> int:
         """Total number of scalar parameters."""

@@ -92,7 +92,7 @@ def train_classifier(
             opt.zero_grad()
             logits = net.forward(xt[idx])
             loss = loss_fn(logits, yt[idx])
-            net.backward(loss_fn.backward())
+            net.backward(loss_fn.backward(), input_grad=False)
             opt.step()
             epoch_loss += loss
             n_batches += 1

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
 from repro.nn import (
@@ -14,6 +16,7 @@ from repro.nn import (
     Sequential,
 )
 from repro.nn.layers import col2im, im2col
+from tests import parent_training as parent
 
 
 def to_float64(*layers):
@@ -225,7 +228,136 @@ class TestMaxPool:
             MaxPool2D(4).forward(np.zeros((1, 1, 2, 2), dtype=np.float32))
 
 
+def _pool_input(n, c, h, w, dtype, tied, strided, seed):
+    """A pool input: few distinct values (ties, +-0.0) or distinct normals,
+    optionally a non-contiguous view."""
+    rng = np.random.default_rng(seed)
+    shape = (n, c, h, 2 * w if strided else w)
+    if tied:
+        x = rng.choice(np.array([-1.0, -0.0, 0.0, 0.5, 2.0]), size=shape)
+    else:
+        x = rng.standard_normal(shape)
+    x = x.astype(dtype)
+    return x[..., ::2] if strided else x
+
+
+class TestPoolMatchesParentFormulas:
+    """The slice kernels promise the 6-D view formulas' values bit for bit
+    (``array_equal``: which zero a window of +-0.0 yields is IEEE's choice)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        size=st.integers(1, 3),
+        n=st.integers(1, 3),
+        c=st.integers(1, 3),
+        windows=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        extra=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        tied=st.booleans(),
+        strided=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_forward_backward(self, size, n, c, windows, extra, dtype, tied, strided, seed):
+        # ``extra`` rows/columns beyond the last whole window are truncated.
+        h = windows[0] * size + extra[0] % size
+        w = windows[1] * size + extra[1] % size
+        x = _pool_input(n, c, h, w, dtype, tied, strided, seed)
+        pool, ref = MaxPool2D(size), MaxPool2D(size)
+        out, want = pool.forward(x), parent.pool_forward(ref, x)
+        assert out.dtype == want.dtype and np.array_equal(out, want)
+        assert np.array_equal(pool.infer(x), want)
+        dout = np.random.default_rng(seed + 1).standard_normal(want.shape).astype(dtype)
+        dx, want_dx = pool.backward(dout), parent.pool_backward(ref, dout)
+        assert dx.dtype == want_dx.dtype and dx.shape == x.shape
+        assert np.array_equal(dx, want_dx)
+
+    @pytest.mark.parametrize("shape", [(64, 8, 23, 23), (64, 16, 9, 9)])
+    def test_snm_geometries(self, shape):
+        # The SNM's two pools: odd inputs, 23 -> 11 and 9 -> 4.
+        x = _pool_input(*shape, np.float32, False, False, 3)
+        x[:, :, :4, :4] = 0.0  # post-ReLU maps are full of tied zeros
+        pool, ref = MaxPool2D(2), MaxPool2D(2)
+        assert np.array_equal(pool.forward(x), parent.pool_forward(ref, x))
+        dout = np.random.default_rng(4).standard_normal(
+            (shape[0], shape[1], shape[2] // 2, shape[3] // 2)
+        ).astype(np.float32)
+        assert np.array_equal(pool.backward(dout), parent.pool_backward(ref, dout))
+
+    def test_constant_windows_split_evenly(self):
+        for size in (1, 2, 3):
+            x = np.full((1, 2, 2 * size, 2 * size), -0.0, dtype=np.float32)
+            pool, ref = MaxPool2D(size), MaxPool2D(size)
+            pool.forward(x), parent.pool_forward(ref, x)
+            dout = np.array([1.0, -7.0, 3.0, 1e-30], np.float32).repeat(2).reshape(1, 2, 2, 2)
+            dx = pool.backward(dout)
+            assert np.array_equal(dx, parent.pool_backward(ref, dout))
+            assert dx[0, 0, 0, 0] == np.float32(1.0) / np.float32(size * size)
+
+
+class TestParameterOnlyBackward:
+    def _net(self, first, rng):
+        if first == "conv":
+            return Sequential(
+                [Conv2D(2, 3, 3, stride=2, rng=rng), ReLU(), MaxPool2D(2), Flatten(),
+                 Dense(3 * 2 * 2, 2, rng=rng)]
+            ), rng.standard_normal((4, 2, 11, 11)).astype(np.float32)
+        return Sequential([Dense(6, 4, rng=rng), ReLU(), Dense(4, 2, rng=rng)]), (
+            rng.standard_normal((5, 6)).astype(np.float32)
+        )
+
+    @pytest.mark.parametrize("first", ["conv", "dense"])
+    def test_same_grads_no_input_grad(self, first):
+        net, x = self._net(first, np.random.default_rng(11))
+        dout = np.random.default_rng(12).standard_normal((len(x), 2)).astype(np.float32)
+
+        def grads(**kw):
+            net.zero_grads()
+            net.forward(x)
+            dx = net.backward(dout, **kw)
+            return dx, [g.copy() for _, _, gs in net.parameters() for g in gs.values()]
+
+        dx, want = grads()
+        assert dx.shape == x.shape
+        none, got = grads(input_grad=False)
+        assert none is None
+        assert len(got) == len(want) and all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert float(np.abs(got[0]).sum()) > 0
+
+    def test_first_layer_returns_none(self):
+        rng = np.random.default_rng(13)
+        for layer, x in (
+            (Conv2D(1, 2, 3, rng=rng), rng.standard_normal((2, 1, 6, 6)).astype(np.float32)),
+            (Dense(4, 3, rng=rng), rng.standard_normal((2, 4)).astype(np.float32)),
+        ):
+            out = layer.forward(x)
+            assert layer.backward(out, input_grad=False) is None
+            assert layer.backward(out).shape == x.shape
+
+    def test_default_matches_parent_backward(self):
+        net, x = self._net("conv", np.random.default_rng(14))
+        out = net.forward(x)
+        assert np.array_equal(net.backward(out), parent.sequential_backward(net, out))
+
+    def test_empty_network_passes_gradient_through(self):
+        dout = np.ones((2, 3), dtype=np.float32)
+        assert Sequential([]).backward(dout) is dout
+
+
 class TestActivationsAndShape:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        strided=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_relu_forward_matches_parent_formula(self, dtype, strided, seed):
+        x = _pool_input(2, 3, 5, 4, dtype, seed % 2 == 0, strided, seed)
+        relu, ref = ReLU(), ReLU()
+        out, want = relu.forward(x), parent.relu_forward(ref, x)
+        assert out.dtype == want.dtype and np.array_equal(out, want)
+        assert np.array_equal(relu.infer(x), want)
+        assert np.array_equal(relu.backward(want), ref.backward(want))
+
     def test_relu_forward(self):
         out = ReLU().forward(np.array([[-1.0, 0.0, 2.0]], dtype=np.float32))
         np.testing.assert_array_equal(out, [[0, 0, 2]])
