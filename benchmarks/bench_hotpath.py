@@ -8,12 +8,14 @@ fit is cheap next to analysing it.  This suite measures each hot path twice:
 
 * **before** — the straightforward implementation (per-call resize index
   math, training-machinery ``forward`` with backward caches, the training
-  path's 6-D pooling views and first-layer input gradient), kept alive
-  here and in ``tests/parent_training.py`` as reference code;
+  path's 6-D pooling views and first-layer input gradient, the renderer
+  re-synthesising a frame on every read), kept alive here, in
+  ``tests/parent_training.py`` and in ``video/synth.py`` as reference code;
 * **after**  — the shipped fast path (cached separable
   :class:`ResizePlan`, ``frame_median``, ordered ``block_reduce_mean``,
   batched blob count, ``Sequential.predict``, per-instance buffers, slice
-  pooling and the parameter-only first-layer backward of a training step).
+  pooling and the parameter-only first-layer backward of a training step,
+  a stream's frames read back from its stored clip).
 
 Medians land in ``BENCH_hotpath.json`` at the repo root (committed, so the
 perf trajectory is reviewable per PR).  Correctness — fast path outputs
@@ -33,6 +35,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import itertools
 import platform
 import statistics
 import sys
@@ -45,6 +48,7 @@ from repro.models.griddet import GridDetector
 from repro.models.sdd import SDD
 from repro.models.snm import SNMConfig, build_snm_network
 from repro.nn import SGD, Conv2D, MaxPool2D, ReLU, SoftmaxCrossEntropy
+from repro.video import VideoStream
 from repro.video.ops import block_reduce_mean, frame_median, get_resize_plan
 from tests import parent_training as parent
 
@@ -165,6 +169,49 @@ def build_cases(quick: bool) -> list[Case]:
     frames10 = rng.random((10, *FRAME_HW), dtype=np.float32)
     hires8 = rng.random((8, *FRAME_HW_HIRES), dtype=np.float32)
     cases: list[Case] = []
+    r = 40 if quick else 200
+
+    # The source: a frame read back from the stream's stored clip against the
+    # renderer producing it again.  The first-touch row is a cost, not a win:
+    # a frame nobody reads twice pays the render *and* the write.
+    stream = VideoStream.synthetic(256, 0.3, height=FRAME_HW[0], width=FRAME_HW[1], seed=9)
+    fresh = VideoStream.synthetic(2 * r + 8, 0.3, height=FRAME_HW[0], width=FRAME_HW[1], seed=9)
+    render = stream.renderer
+    ts64 = np.arange(64, 128)
+
+    def render_batch(ts):
+        out = np.empty((len(ts), *FRAME_HW), dtype=np.float32)
+        for i, t in enumerate(ts):
+            out[i] = render.render_pixels(int(t))
+        return out
+
+    stream.pixel_batch(np.arange(len(stream)))
+    turn_b, turn_a, first_b, first_a = (itertools.count() for _ in range(4))
+    cases += [
+        Case(
+            "source frame 100x150: stored read vs render",
+            lambda: render.render_pixels(next(turn_b) % 256),
+            lambda: stream.pixels(next(turn_a) % 256),
+            lambda: all(
+                np.array_equal(stream.pixels(t), render.render_pixels(t)) for t in range(256)
+            ),
+            r,
+        ),
+        Case(
+            "source pixel_batch 64",
+            lambda: render_batch(ts64),
+            lambda: stream.pixel_batch(ts64),
+            lambda: np.array_equal(stream.pixel_batch(ts64), render_batch(ts64)),
+            r // 4,
+        ),
+        Case(
+            "source first touch (render + write)",
+            lambda: render.render_pixels(next(first_b) % len(fresh)),
+            lambda: fresh.pixels(next(first_a) + 1),
+            lambda: np.array_equal(fresh.pixels(0), render.render_pixels(0)),
+            r,
+        ),
+    ]
 
     def resize_case(tag, batch, out_hw, reps):
         in_hw = batch.shape[1:]
@@ -182,7 +229,6 @@ def build_cases(quick: bool) -> list[Case]:
 
     # Batch 10 is the paper's feedback batch size (the engine's steady-state
     # batch); batch 1 is the latency-sensitive trickle case.
-    r = 40 if quick else 200
     resize_case("sdd 100x100 b1", frames1, (100, 100), r)
     resize_case("sdd 100x100 b10", frames10, (100, 100), r)
     resize_case("snm 50x50 b10", frames10, (50, 50), r)

@@ -6,8 +6,9 @@ target-object occurrence rate in a day is only 8%" — but arrive in rush-
 hour bursts.  This example scans a synthetic 24-hour recording the way the
 offline pipeline would:
 
-* frames come through a :class:`~repro.video.ClipStore`, so the whole day
-  never sits in memory (the paper: a 55 GB file analyzed in <8 GB of RAM),
+* frames come through :meth:`~repro.video.VideoStream.iter_chunks`, one
+  reused chunk buffer, so the whole day never sits in memory (the paper: a
+  55 GB file analyzed in <8 GB of RAM),
 * sliding-window TOR shows the day's activity profile,
 * the analytic planner translates the quiet/rush extremes into how many
   such cameras one server carries at each hour, and
@@ -24,7 +25,7 @@ from repro.analytics import sliding_tor
 from repro.core import FFSVAConfig, build_trace, plan_capacity
 from repro.models import ModelZoo
 from repro.sim import PipelineSimulator
-from repro.video import ClipStore, day_stream
+from repro.video import day_stream
 
 
 def spark(values, width: int = 48) -> str:
@@ -49,14 +50,13 @@ def main() -> None:
 
     # Memory-bounded scan of the whole day.
     h, w = day.shape
-    budget = 4 * 64 * h * w * 4  # four chunks
-    store = ClipStore(day, chunk_frames=64, memory_budget_bytes=budget)
-    for _start, _chunk in store.iter_chunks():
-        pass  # the offline pipeline would run the filters here
-    st = store.stats()
-    print(f"scanned {st['total_video_bytes']/2**20:.0f} MB of video within a "
-          f"{st['memory_budget_bytes']/2**20:.1f} MB frame cache "
-          f"(peak {st['peak_bytes']/2**20:.1f} MB)")
+    chunk_bytes = 0
+    for _start, chunk in day.iter_chunks(64):
+        chunk_bytes = max(chunk_bytes, chunk.nbytes)  # the pipeline's filters run here
+    st = day.stats()
+    print(f"scanned {len(day) * h * w * 4 / 2**20:.0f} MB of video through one "
+          f"{chunk_bytes / 2**20:.1f} MB chunk buffer; {st['stored_bytes'] / 2**20:.0f} MB "
+          "now stored on disk for the training and trace passes below to read back")
 
     # The day's activity profile.
     counts = day.gt_counts()

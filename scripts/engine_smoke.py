@@ -1,16 +1,23 @@
-"""CI smoke test for the threaded engine's thread budget.
+"""CI smoke test for the threaded engine's thread budget and stored source.
 
-Runs a 2-stream, 120-frame ``ThreadedPipeline`` on the default cascade and
-prints ``RunMetrics.extra["engine"]``.  Fails if
+Runs a 2-stream, 120-frame ``ThreadedPipeline`` on the default cascade twice,
+under a private empty ``TMPDIR``, and prints ``RunMetrics.extra["engine"]``
+and ``extra["source"]``.  Fails if
 
-* the run did not start exactly 2 SDD + 2 SNM + 1 T-YOLO + 1 reference = 6
-  worker threads (a prefetch thread per stream came back), or
+* a run did not start exactly 2 SDD + 2 SNM + 1 T-YOLO + 1 reference = 6
+  worker threads (a prefetch thread per stream came back),
 * an OpenBLAS is mapped into the process but ``runtime/blas.py`` capped no
   library — a numpy/scipy build whose symbol spelling the cap does not know
-  would otherwise show up only as a silent loss of the measured gain.
+  would otherwise show up only as a silent loss of the measured gain,
+* the second run rendered any frame (every one was stored by the first), or
+* the stored clips left a name in the temp directory, or a descriptor open
+  once the streams are gone.
 """
 
+import gc
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -22,7 +29,12 @@ from repro.runtime import ThreadedPipeline  # noqa: E402
 from repro.video import jackson, make_stream  # noqa: E402
 
 
-def main() -> int:
+def open_fds() -> int:
+    gc.collect()  # a dropped stream's descriptor closes with it
+    return len(os.listdir("/proc/self/fd"))
+
+
+def run_twice(tmp: str) -> dict:
     zoo = ModelZoo()
     streams = [
         make_stream(jackson(), 240, tor=0.3, seed=11 + i, stream_id=f"smoke-{i}") for i in range(2)
@@ -31,12 +43,27 @@ def main() -> int:
         zoo.train_for_stream(
             s, n_train_frames=120, stride=2, train_config=TrainConfig(epochs=4, batch_size=32, seed=5)
         )
-    pipe = ThreadedPipeline(streams, zoo, FFSVAConfig())
-    m = pipe.run(n_frames=120)
-    engine = m.extra["engine"]
-    print(f"engine: {engine}")
-    assert len(pipe.outcomes) == m.frames_offered == 240
-    assert engine["worker_threads"] == 6, f"expected 6 engine workers, got {engine}"
+    for attempt in ("first", "second"):
+        pipe = ThreadedPipeline(streams, zoo, FFSVAConfig())
+        m = pipe.run(n_frames=120)
+        engine, source = m.extra["engine"], m.extra["source"]
+        print(f"{attempt} run: engine {engine}, source {source}")
+        assert len(pipe.outcomes) == m.frames_offered == source["frames_read"] == 240
+        assert engine["worker_threads"] == 6, f"expected 6 engine workers, got {engine}"
+    assert source["frames_rendered"] == 0, f"second run re-rendered stored frames: {source}"
+    assert os.listdir(tmp) == [], f"stored clips left names behind: {os.listdir(tmp)}"
+    return engine
+
+
+def main() -> int:
+    fds = open_fds()
+    with tempfile.TemporaryDirectory() as tmp:
+        tempfile.tempdir = tmp  # what TMPDIR would set, for this process only
+        try:
+            engine = run_twice(tmp)
+        finally:
+            tempfile.tempdir = None
+    assert open_fds() == fds, f"descriptors leaked: {fds} open before, {open_fds()} after"
     # Looked up here, not through runtime/blas.py: the point is to catch a
     # mapped library that module's symbol probing did not recognise.
     with open("/proc/self/maps") as fh:

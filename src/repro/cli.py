@@ -314,15 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--replay", action="store_true",
-        help="re-decode the matched frames of --stream through the "
-             "memory-bounded ClipStore (requires --stream; the stream is "
-             "re-synthesized from --workload/--tor/--frames/--seed)",
+        help="re-decode the matched frames of --stream, one resident at a "
+             "time (requires --stream; the stream is re-synthesized from "
+             "--workload/--tor/--frames/--seed)",
     )
     _add_stream_args(p)
-    p.add_argument("--chunk-frames", type=int, default=64,
-                   help="frames per decoded chunk during --replay")
-    p.add_argument("--budget-mb", type=int, default=64,
-                   help="replay decode-cache memory budget (MiB)")
     return parser
 
 
@@ -697,15 +693,13 @@ def _cmd_query(args) -> int:
         result = replay_detections(
             reader, stream,
             t0=t0, t1=t1, stream_id=args.stream,
-            chunk_frames=args.chunk_frames,
-            memory_budget_bytes=args.budget_mb * 2**20,
             disposition=args.disposition,
         )
         st = result.clip_stats
-        print(f"replayed {len(result.frames)} frame(s): peak decode memory "
-              f"{st['peak_bytes'] / 2**20:.1f} MiB of "
-              f"{st['memory_budget_bytes'] / 2**20:.0f} MiB budget "
-              f"({st['decode_count']} chunk decode(s))")
+        print(f"replayed {len(result.frames)} frame(s): "
+              f"{st['frames_rendered']} rendered of {st['frames_read']} read, "
+              f"{st['stored_bytes'] / 2**20:.1f} MiB stored on disk, "
+              f"{st['resident_bytes']} B resident")
     return 0
 
 

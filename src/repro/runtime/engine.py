@@ -120,9 +120,13 @@ class _Feed:
     count: int
     preloaded: list | None = None  # handoff-window pixels for leading frames
     offered: int = 0
+    source0: np.ndarray = field(init=False)  # the stream's _source_counts() at creation
     t0: float | None = None  # pacing origin: the first pop
     stop: threading.Event = field(default_factory=threading.Event)
     boundary: threading.Event = field(default_factory=threading.Event)
+
+    def __post_init__(self) -> None:
+        self.source0 = _source_counts(self.pipe.ctxs[self.slot].stream)
 
     @property
     def active(self) -> bool:
@@ -985,6 +989,14 @@ class ThreadedPipeline:
         m.ref_latency = LatencyStats.from_samples(ref_lat)
         m.frame_latency = LatencyStats.from_samples([o.latency for o in self.outcomes])
         m.extra["engine"] = {"worker_threads": len(threads), **blas}
+        # What this run's sources read, and how much of it had to be rendered
+        # rather than read back from the stored clip (video/clipstore.py).
+        feeds = [f for f in self._feeds if f is not None]
+        read, rendered = sum(
+            (_source_counts(self.ctxs[f.slot].stream) - f.source0 for f in feeds),
+            np.zeros(2, dtype=int),
+        )
+        m.extra["source"] = {"frames_read": int(read), "frames_rendered": int(rendered)}
         if pool_stats:
             m.extra["procpool"] = pool_stats
         if self.telemetry is not None:
@@ -992,6 +1004,13 @@ class ThreadedPipeline:
                 q.name: q.put_timeouts for q in self.kernel.queues
             }
         return m
+
+
+def _source_counts(stream) -> np.ndarray:
+    """``[frames_read, frames_rendered]`` so far (zeros for a stub stream
+    that keeps no such counters)."""
+    st = stream.stats() if hasattr(stream, "stats") else {}
+    return np.array([st.get("frames_read", 0), st.get("frames_rendered", 0)])
 
 
 def _stream_info(stream: VideoStream) -> StreamInfo:

@@ -13,8 +13,8 @@ pipeline in the loop.
 * :mod:`repro.store.query` — pure query functions over a reader, plus
   :func:`open_store`, which transparently merges a cluster's per-instance
   stores;
-* :mod:`repro.store.replay` — query-driven frame re-decode through the
-  memory-bounded :class:`~repro.video.clipstore.ClipStore`;
+* :mod:`repro.store.replay` — query-driven frame re-decode from the
+  stream's stored clip;
 * :mod:`repro.store.server` — the HTTP reply builders and the live
   :class:`SubscriptionHub` behind ``/query`` and ``/subscribe``.
 """

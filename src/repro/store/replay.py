@@ -1,19 +1,18 @@
-"""Query-driven frame replay through the memory-bounded clip cache.
+"""Query-driven frame replay from the stream's stored clip.
 
 The store records *which* frames the cascade analyzed; replay brings their
 *pixels* back.  :func:`replay_detections` takes a query result (a reader +
-filters), re-decodes exactly the matching frames of one stream through
-:class:`~repro.video.clipstore.ClipStore` — so an arbitrarily long range
-costs at most the clip cache's memory budget, never a full-video decode —
-and can optionally re-run a detector over them to attach boxes the live
-sinks never record.
+filters), reads exactly the matching frames of one stream — one frame
+resident at a time, from the stored clip
+(:class:`~repro.video.clipstore.StoredClip`) wherever the run that produced
+the rows already rendered them — and can optionally re-run a detector over
+them to attach boxes the live sinks never record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..video.clipstore import ClipStore
 from .detstore import DetectionRecord
 from .query import detected_frames
 
@@ -24,7 +23,7 @@ _INF = float("inf")
 
 @dataclass
 class ReplayResult:
-    """What a replay produced, plus proof it stayed within budget."""
+    """What a replay produced, plus the stream's read counters after it."""
 
     records: list[DetectionRecord] = field(default_factory=list)
     frames: list[int] = field(default_factory=list)
@@ -40,11 +39,9 @@ def replay_detections(
     stream_id: str | None = None,
     detector=None,
     detector_cls: str = "object",
-    chunk_frames: int = 64,
-    memory_budget_bytes: int = 64 * 2**20,
     disposition: str = "detected",
 ) -> ReplayResult:
-    """Re-decode the frames a query matches, under a fixed memory budget.
+    """Re-decode the frames a query matches, one frame resident at a time.
 
     ``stream`` is the :class:`~repro.video.stream.VideoStream` (or synth
     stream) holding the pixels; ``stream_id`` is its id in the store
@@ -53,22 +50,19 @@ def replay_detections(
     skipped rather than fatal.  With ``detector`` set, each replayed frame
     runs ``detector.detect(pixels, background)`` and every detection
     becomes a box-filled record with ``disposition="replay"``; without it
-    the result just carries the decoded frame indices and cache stats.
+    the result just carries the decoded frame indices and ``stream.stats()``.
     """
     if stream_id is None:
         stream_id = getattr(stream, "stream_id", None) or str(stream)
     frames = detected_frames(reader, stream_id, t0=t0, t1=t1, disposition=disposition)
-    clip = ClipStore(
-        stream, chunk_frames=chunk_frames, memory_budget_bytes=memory_budget_bytes
-    )
     background = stream.reference_image() if detector is not None else None
     fps = float(getattr(stream, "fps", 30.0))
     records: list[DetectionRecord] = []
     replayed: list[int] = []
     for f in frames:
-        if not 0 <= f < len(clip):
+        if not 0 <= f < len(stream):
             continue
-        px = clip.pixels(f)
+        px = stream.pixels(f)
         replayed.append(f)
         if detector is None:
             continue
@@ -89,4 +83,4 @@ def replay_detections(
                     disposition="replay",
                 )
             )
-    return ReplayResult(records=records, frames=replayed, clip_stats=clip.stats())
+    return ReplayResult(records=records, frames=replayed, clip_stats=stream.stats())

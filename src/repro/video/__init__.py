@@ -6,7 +6,7 @@ section 2 for why a parameterized synthetic generator preserves the
 behaviour FFS-VA's filters depend on.
 """
 
-from .clipstore import ClipStore
+from .clipstore import StoredClip
 from .diurnal import day_stream, make_day_script
 from .frame import Frame, FrameDescriptor, GroundTruthObject, SharedFramePlane
 from .ops import block_reduce_mean, normalize_unit, resize_bilinear, to_float01
@@ -36,7 +36,7 @@ __all__ = [
     "block_reduce_mean",
     "to_float01",
     "normalize_unit",
-    "ClipStore",
+    "StoredClip",
     "day_stream",
     "make_day_script",
 ]

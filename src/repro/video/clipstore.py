@@ -1,124 +1,107 @@
-"""Stored-video access with bounded memory: the offline-analysis substrate.
+"""Stored-clip source: a frame is rendered once, then read back.
 
-Section 5.2 notes that "for a 55 GB video file, the entire system uses less
-than 8 GB CPU memory, which implies greatly increased support capacity for
-long-time high-definition video files."  The property behind that claim is
-streaming decode: offline analysis never materializes the whole file, it
-decodes fixed-size chunks ahead of the pipeline and recycles them.
-
-:class:`ClipStore` reproduces that access pattern over the synthetic
-renderer: frames are decoded (rendered) in chunks, kept in a small LRU
-cache, and evicted under a configurable memory budget.  The bookkeeping
-(`peak_bytes`, `decode_count`) lets tests assert the memory bound and the
-benchmark record the paper's claim structurally.
+FFS-VA's prefetcher *decodes stored video* (Section 5.2: a 55 GB file in under
+8 GB of memory); re-synthesising a frame on every read is a cost the paper's
+system does not have.  So a stream keeps what it has rendered in a
+:class:`StoredClip`: an anonymous sparse file of raw float32 frames
+(``tempfile.TemporaryFile`` — unlinked from birth, nothing to clean up on any
+exit path) plus an in-memory presence map.  The first read of frame ``t``
+renders it and writes it at ``t * frame_bytes``; every later read is a
+``preadv`` into the caller's array — read, never mapped, so resident memory
+does not grow with the clip.  ``video/synth.py`` stays the oracle (DESIGN §21).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import os
+import tempfile
+import threading
+import warnings
+import weakref
 
 import numpy as np
 
-from .stream import VideoStream
+__all__ = ["StoredClip", "STORE_CAP_BYTES"]
 
-__all__ = ["ClipStore"]
+#: Disk one stream may hold.  Frame ``t`` is stored iff ``(t + 1) *
+#: frame_bytes`` fits; later frames render on every read, so a 10^5-frame
+#: day scanned once cannot fill the temp directory.
+STORE_CAP_BYTES = 256 * 2**20
 
 
-class ClipStore:
-    """Chunked, memory-bounded random access over a stream's frames."""
+class StoredClip:
+    """Render-once, read-back storage for one stream's frames.
 
-    def __init__(
-        self,
-        stream: VideoStream,
-        *,
-        chunk_frames: int = 64,
-        memory_budget_bytes: int = 64 * 2**20,
-    ):
-        if chunk_frames < 1:
-            raise ValueError("chunk_frames must be >= 1")
-        h, w = stream.shape
-        self._chunk_bytes = chunk_frames * h * w * 4  # float32 frames
-        if memory_budget_bytes < self._chunk_bytes:
-            raise ValueError(
-                f"memory budget {memory_budget_bytes} below one chunk "
-                f"({self._chunk_bytes} bytes); raise the budget or shrink chunks"
+    ``render(t)`` is the renderer's ``(H, W)`` float32 frame.  Safe to read
+    from several threads, and from forked children (they inherit the
+    descriptor and a snapshot of the presence map; a frame both sides render
+    is written twice with identical bytes).  Pickling or deep-copying yields
+    an empty store over the same renderer that refills lazily.
+    """
+
+    def __init__(self, n_frames: int, shape: tuple[int, int], render):
+        self.n_frames = n_frames
+        self.shape = shape
+        self.frame_bytes = shape[0] * shape[1] * 4
+        self._render = render
+        #: One flag per frame the disk cap lets in, set once its bytes are on file.
+        self._present = bytearray(min(n_frames, STORE_CAP_BYTES // self.frame_bytes))
+        #: Frames below this index are written on their first read; 0 once a write failed.
+        self._writable = len(self._present)
+        self._fd = -1  # the anonymous file, opened by the first write
+        self._lock = threading.Lock()
+        self.frames_read = 0  # every read, stored or rendered
+        self.frames_rendered = 0  # the reads that ran the renderer
+
+    def __reduce__(self):
+        return (StoredClip, (self.n_frames, self.shape, self._render))
+
+    # ------------------------------------------------------------------
+    def read_into(self, t: int, out: np.ndarray) -> None:
+        """Fill ``out`` — ``(H, W)`` float32, C-contiguous — with frame ``t``."""
+        if not 0 <= t < self.n_frames:
+            raise IndexError(f"frame {t} out of range [0, {self.n_frames})")
+        stored = t < len(self._present) and self._present[t]
+        if stored:
+            got = os.preadv(self._fd, [out], t * self.frame_bytes)
+            if got != self.frame_bytes:
+                raise RuntimeError(f"stored frame {t}: read {got} of {self.frame_bytes} bytes")
+        else:
+            out[...] = self._render(t)
+            if t < self._writable:
+                self._write(t, out)
+        with self._lock:
+            self.frames_read += 1
+            self.frames_rendered += not stored
+
+    def _write(self, t: int, px: np.ndarray) -> None:
+        try:
+            with self._lock:
+                if self._fd < 0:
+                    f = tempfile.TemporaryFile(buffering=0)
+                    weakref.finalize(self, f.close)  # holds the file until the store goes
+                    os.ftruncate(f.fileno(), len(self._present) * self.frame_bytes)
+                    self._fd = f.fileno()
+            done = os.pwrite(self._fd, px, t * self.frame_bytes)
+        except OSError as exc:
+            done = exc
+        if done == self.frame_bytes:
+            # Only now: a reader that sees the flag finds the whole frame.
+            self._present[t] = 1
+        elif self._writable:
+            self._writable = 0
+            warnings.warn(
+                f"clip store stopped at frame {t} ({done!r}); unstored frames render on every read",
+                RuntimeWarning,
+                stacklevel=4,
             )
-        self.stream = stream
-        self.chunk_frames = chunk_frames
-        self.memory_budget_bytes = memory_budget_bytes
-        self._cache: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._cached_bytes = 0
-        self.peak_bytes = 0
-        self.decode_count = 0  # chunks rendered
-        self.hit_count = 0
-        self.miss_count = 0
-
-    def __len__(self) -> int:
-        return len(self.stream)
-
-    @property
-    def total_video_bytes(self) -> int:
-        """Size of the fully-decoded video (what naive loading would cost)."""
-        h, w = self.stream.shape
-        return len(self.stream) * h * w * 4
 
     # ------------------------------------------------------------------
-    def _chunk_of(self, t: int) -> int:
-        return t // self.chunk_frames
-
-    def _load_chunk(self, chunk: int) -> np.ndarray:
-        cached = self._cache.get(chunk)
-        if cached is not None:
-            self._cache.move_to_end(chunk)
-            self.hit_count += 1
-            return cached
-        self.miss_count += 1
-        start = chunk * self.chunk_frames
-        stop = min(start + self.chunk_frames, len(self.stream))
-        data = self.stream.pixel_batch(np.arange(start, stop))
-        self.decode_count += 1
-        self._cache[chunk] = data
-        self._cached_bytes += data.nbytes
-        while self._cached_bytes > self.memory_budget_bytes and len(self._cache) > 1:
-            _, evicted = self._cache.popitem(last=False)
-            self._cached_bytes -= evicted.nbytes
-        self.peak_bytes = max(self.peak_bytes, self._cached_bytes)
-        return data
-
-    # ------------------------------------------------------------------
-    def pixels(self, t: int) -> np.ndarray:
-        """Frame ``t``'s pixels (decoded through the chunk cache)."""
-        if not 0 <= t < len(self.stream):
-            raise IndexError(f"frame {t} out of range [0, {len(self.stream)})")
-        chunk = self._load_chunk(self._chunk_of(t))
-        return chunk[t - self._chunk_of(t) * self.chunk_frames]
-
-    def pixel_batch(self, ts) -> np.ndarray:
-        """Frames ``ts`` as an ``(N, H, W)`` array (chunk-cache backed)."""
-        ts = np.asarray(ts, dtype=np.int64)
-        h, w = self.stream.shape
-        out = np.empty((len(ts), h, w), dtype=np.float32)
-        for i, t in enumerate(ts):
-            out[i] = self.pixels(int(t))
-        return out
-
-    def iter_chunks(self):
-        """Iterate ``(start_index, frames)`` over the whole clip in order.
-
-        This is the offline pipeline's sequential scan: one chunk resident
-        at a time regardless of clip length.
-        """
-        for chunk in range((len(self.stream) + self.chunk_frames - 1) // self.chunk_frames):
-            data = self._load_chunk(chunk)
-            yield chunk * self.chunk_frames, data
-
     def stats(self) -> dict:
-        """Cache statistics for reporting."""
+        """Read counters and what the store holds on disk and in memory."""
         return {
-            "peak_bytes": self.peak_bytes,
-            "total_video_bytes": self.total_video_bytes,
-            "memory_budget_bytes": self.memory_budget_bytes,
-            "decode_count": self.decode_count,
-            "hit_count": self.hit_count,
-            "miss_count": self.miss_count,
+            "frames_read": self.frames_read,
+            "frames_rendered": self.frames_rendered,
+            "stored_bytes": sum(self._present) * self.frame_bytes,
+            "resident_bytes": len(self._present),
         }

@@ -4,12 +4,15 @@ A :class:`VideoStream` couples a scene script with a renderer and exposes
 the access patterns the pipeline needs:
 
 * sequential iteration (the online prefetch path),
-* random access / batched rendering (trace building, training-set
+* random access / batched reads (trace building, training-set
   construction),
+* a chunked scan over one reused buffer (offline analysis of a long clip),
 * ground truth without rendering (evaluation).
 
-``VideoStream`` is deliberately cheap to construct: pixels are produced on
-demand, so a 10^5-frame stream costs nothing until rendered.
+Every pixel read goes through the stream's
+:class:`~repro.video.clipstore.StoredClip`: rendered on the first read, read
+back ever after.  ``VideoStream`` stays cheap to construct: a 10^5-frame
+stream costs nothing until read.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from .clipstore import StoredClip
 from .frame import Frame
 from .scene import SceneScript, make_script
 from .synth import Renderer, RenderOptions
@@ -40,6 +44,9 @@ class VideoStream:
         self.stream_id = stream_id
         self.fps = fps
         self.renderer = Renderer(script, render_options)
+        self._clip = StoredClip(
+            script.n_frames, (script.height, script.width), self.renderer.render_pixels
+        )
 
     # -- construction helpers -------------------------------------------------
     @classmethod
@@ -83,16 +90,40 @@ class VideoStream:
 
     # -- frame access ----------------------------------------------------------
     def frame(self, t: int) -> Frame:
-        """Render frame ``t`` with annotations."""
-        return self.renderer.render(t, stream_id=self.stream_id, fps=self.fps)
+        """Frame ``t`` with annotations."""
+        pixels = self.pixels(t)
+        return Frame(self.stream_id, t, t / self.fps, pixels, self.script.annotations(t))
 
     def pixels(self, t: int) -> np.ndarray:
-        """Render only the pixels of frame ``t``."""
-        return self.renderer.render_pixels(t)
+        """Only the pixels of frame ``t``, as a fresh caller-owned array."""
+        out = np.empty(self.shape, dtype=np.float32)
+        self._clip.read_into(t, out)
+        return out
 
-    def pixel_batch(self, ts) -> np.ndarray:
-        """Render frames ``ts`` into an ``(N, H, W)`` array."""
-        return self.renderer.render_batch(ts)
+    def pixel_batch(self, ts, out: np.ndarray | None = None) -> np.ndarray:
+        """Frames ``ts`` as an ``(N, H, W)`` array: ``out``, when one is given."""
+        if out is None:
+            out = np.empty((len(ts), *self.shape), dtype=np.float32)
+        for t, px in zip(ts, out):
+            self._clip.read_into(int(t), px)
+        return out
+
+    def iter_chunks(self, chunk_frames: int = 64) -> Iterator[tuple[int, np.ndarray]]:
+        """The offline sequential scan: ``(start_index, frames)`` chunks in
+        order, each a view of one buffer reused across iterations (valid
+        until the next is asked for), so one chunk is resident whatever the
+        clip's length."""
+        if chunk_frames < 1:
+            raise ValueError("chunk_frames must be >= 1")
+        n = len(self)
+        buf = np.empty((min(chunk_frames, n), *self.shape), dtype=np.float32)
+        for start in range(0, n, chunk_frames):
+            ts = range(start, min(start + chunk_frames, n))
+            yield start, self.pixel_batch(ts, buf[: len(ts)])
+
+    def stats(self) -> dict:
+        """The stored clip's read counters and footprint."""
+        return self._clip.stats()
 
     def __iter__(self) -> Iterator[Frame]:
         return self.frames()

@@ -11,9 +11,9 @@ webcams used by the paper.  A :class:`Renderer` deterministically turns a
 * the script's moving **objects**, rendered as soft-edged elliptical patches
   with an interior texture so they have non-trivial learned features.
 
-Rendering is random-access: ``render(t)`` depends only on the script, the
-seed, and ``t``, so streams can be replayed, sliced, and processed in
-vectorized batches without storing pixels.
+Rendering is random-access: ``render_pixels(t)`` depends only on the script,
+the seed, and ``t``, so a stream can be replayed and sliced, and what it keeps
+of its frames (``clipstore.py``) checked against a fresh render.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .frame import Frame
 from .scene import SceneScript
 
 __all__ = ["RenderOptions", "Renderer"]
@@ -142,29 +141,8 @@ class Renderer:
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def render(self, t: int, stream_id: str = "stream-0", fps: float = 30.0) -> Frame:
-        """Render frame ``t`` with its ground-truth annotations."""
-        if not 0 <= t < self.script.n_frames:
-            raise IndexError(f"frame {t} out of range [0, {self.script.n_frames})")
-        pixels = self._compose(t)
-        return Frame(
-            stream_id=stream_id,
-            index=t,
-            timestamp=t / fps,
-            pixels=pixels,
-            annotations=self.script.annotations(t),
-        )
-
     def render_pixels(self, t: int) -> np.ndarray:
-        """Render only the pixel array of frame ``t`` (no Frame wrapper)."""
+        """Render the pixel array of frame ``t``."""
         if not 0 <= t < self.script.n_frames:
             raise IndexError(f"frame {t} out of range [0, {self.script.n_frames})")
         return self._compose(t)
-
-    def render_batch(self, ts: np.ndarray | list[int]) -> np.ndarray:
-        """Render several frames into a single ``(N, H, W)`` array."""
-        ts = np.asarray(ts, dtype=np.int64)
-        out = np.empty((len(ts), self.script.height, self.script.width), dtype=np.float32)
-        for i, t in enumerate(ts):
-            out[i] = self._compose(int(t))
-        return out

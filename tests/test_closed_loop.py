@@ -43,12 +43,7 @@ N_FRAMES = 240
 
 @pytest.fixture(scope="module")
 def fleet():
-    """Two small trained streams plus their traces (one model zoo).
-
-    Two streams keep the threaded run long enough (~0.35 s wall) for the
-    tests' 0.15 s admission window to fill on the wall clock as well as the
-    virtual one.
-    """
+    """Two small trained streams plus their traces (one model zoo)."""
     zoo = ModelZoo()
     streams, traces = [], []
     for i, tor in enumerate((0.25, 0.45)):
@@ -79,6 +74,11 @@ def _loop_config(**overrides):
 # cross-runtime admission equivalence
 # ---------------------------------------------------------------------------
 class TestCrossRuntimeAdmission:
+    #: The threaded run is paced so that its schedule, not the host's speed,
+    #: makes it outlast the 0.15 s admission window: 240 frames at 300 fps
+    #: last 0.8 s, more than five windows.
+    PACED = dict(online=True, paced_fps=300.0)
+
     def _labels(self, metrics):
         admission = metrics.extra["admission"]
         return [d["state"] for d in admission["decisions"]]
@@ -88,7 +88,7 @@ class TestCrossRuntimeAdmission:
         # runtime must conclude "spare capacity" exactly once.
         streams, traces, zoo = fleet
         config = _loop_config(admission_tyolo_fps=1e9, admission_window=0.15)
-        m_real = ThreadedPipeline(streams, zoo, config).run()
+        m_real = ThreadedPipeline(streams, zoo, config).run(**self.PACED)
         m_sim = PipelineSimulator(traces, config, online=False).run()
         assert self._labels(m_real) == ["admit"]
         assert self._labels(m_sim) == ["admit"]
@@ -100,7 +100,7 @@ class TestCrossRuntimeAdmission:
         # transition is ever logged by either runtime.
         streams, traces, zoo = fleet
         config = _loop_config(admission_tyolo_fps=0.0, admission_window=0.15)
-        m_real = ThreadedPipeline(streams, zoo, config).run()
+        m_real = ThreadedPipeline(streams, zoo, config).run(**self.PACED)
         m_sim = PipelineSimulator(traces, config, online=False).run()
         assert self._labels(m_real) == []
         assert self._labels(m_sim) == []

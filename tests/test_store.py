@@ -385,23 +385,21 @@ class TestCrossRuntimeStoreEquivalence:
         sim.run()
         reader = DetStoreReader(tmp_path / "rp")
         stream = streams[0]
-        h, w = stream.shape
-        chunk_frames = 8
-        budget = 2 * chunk_frames * h * w * 4  # two chunks resident, max
-        result = replay_detections(
-            reader,
-            stream,
-            detector=zoo.reference,
-            chunk_frames=chunk_frames,
-            memory_budget_bytes=budget,
-        )
+        before = stream.stats()
+        result = replay_detections(reader, stream, detector=zoo.reference)
         assert result.frames == [
             r.frame for r in sorted(reader.records(), key=lambda r: r.frame)
             if r.disposition == "ref"
         ]
-        assert len(result.frames) > chunk_frames  # spans several chunks
-        assert result.clip_stats["peak_bytes"] <= budget
-        assert result.clip_stats["decode_count"] >= len(result.frames) // chunk_frames
+        assert len(result.frames) > 8
+        # The fleet fixture trained on and traced this stream, so every
+        # replayed frame is read back from its stored clip: nothing rendered,
+        # one frame resident at a time, the clip itself on disk.
+        after = result.clip_stats
+        assert after["frames_rendered"] == before["frames_rendered"]
+        assert after["frames_read"] - before["frames_read"] == len(result.frames)
+        h, w = stream.shape
+        assert after["resident_bytes"] < h * w * 4 < after["stored_bytes"]
         # Replay-produced records carry boxes the live sink never stores.
         assert all(r.disposition == "replay" and r.box is not None
                    for r in result.records)

@@ -1,10 +1,12 @@
-"""Tests for the memory-bounded ClipStore and the diurnal day workload."""
+"""Tests for the stream's stored clip and the diurnal day workload."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.analytics import sliding_tor
-from repro.video import ClipStore, VideoStream, day_stream, make_day_script
+from repro.video import VideoStream, day_stream, make_day_script
 from repro.video.diurnal import DEFAULT_PROFILE
 
 
@@ -14,52 +16,63 @@ def stream():
 
 
 class TestClipStore:
+    """The stream's stored clip (``video/clipstore.py``) at its public seam;
+    ``tests/test_video_store.py`` holds the differential and fault tests."""
+
     def test_pixels_match_direct_rendering(self, stream):
-        store = ClipStore(stream, chunk_frames=32)
-        for t in (0, 31, 32, 500, 799):
-            np.testing.assert_array_equal(store.pixels(t), stream.pixels(t))
+        for t in (0, 31, 32, 500, 799, 31, 0):
+            np.testing.assert_array_equal(stream.pixels(t), stream.renderer.render_pixels(t))
 
     def test_batch_matches(self, stream):
-        store = ClipStore(stream, chunk_frames=32)
-        ts = np.array([5, 100, 600])
-        np.testing.assert_array_equal(store.pixel_batch(ts), stream.pixel_batch(ts))
+        ts = np.array([5, 100, 600, 100])
+        want = np.stack([stream.renderer.render_pixels(int(t)) for t in ts])
+        np.testing.assert_array_equal(stream.pixel_batch(ts), want)
 
-    def test_memory_budget_respected(self, stream):
-        h, w = stream.shape
-        budget = 3 * 32 * h * w * 4  # room for three chunks
-        store = ClipStore(stream, chunk_frames=32, memory_budget_bytes=budget)
-        store.pixel_batch(np.arange(0, 800, 5))  # scan the whole clip
-        assert store.peak_bytes <= budget
-        assert store.total_video_bytes > budget  # the clip would not fit whole
+    def test_memory_budget_respected(self):
+        # The whole clip scanned twice (render + store, then read back) holds
+        # one chunk buffer, not the clip.
+        clip = VideoStream.synthetic(800, 0.3, seed=122)
+        h, w = clip.shape
+        chunk_bytes = 32 * h * w * 4
+        tracemalloc.start()
+        for _ in range(2):
+            assert sum(len(chunk) for _, chunk in clip.iter_chunks(32)) == 800
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        st = clip.stats()
+        assert st["stored_bytes"] == 800 * h * w * 4  # the clip would not fit in that
+        assert peak < chunk_bytes + 2**20 < st["stored_bytes"] / 4
+        assert st["resident_bytes"] <= 800
 
-    def test_sequential_scan_uses_each_chunk_once(self, stream):
-        store = ClipStore(stream, chunk_frames=64)
-        seen = 0
-        for start, chunk in store.iter_chunks():
+    def test_sequential_scan_uses_each_chunk_once(self):
+        clip = VideoStream.synthetic(200, 0.3, seed=123)
+        starts, seen, buffers = [], 0, set()
+        for start, chunk in clip.iter_chunks(64):
+            starts.append(start)
             seen += len(chunk)
-        assert seen == len(stream)
-        assert store.decode_count == (800 + 63) // 64
+            buffers.add(chunk.__array_interface__["data"][0])
+            np.testing.assert_array_equal(chunk[-1], clip.renderer.render_pixels(start + len(chunk) - 1))
+        assert starts == [0, 64, 128, 192] and seen == 200
+        assert len(buffers) == 1  # one reused buffer
+        assert clip.stats()["frames_read"] == clip.stats()["frames_rendered"] == 200
 
-    def test_cache_hits_on_locality(self, stream):
-        store = ClipStore(stream, chunk_frames=64)
-        store.pixels(10)
-        store.pixels(11)
-        store.pixels(12)
-        assert store.hit_count == 2
-        assert store.miss_count == 1
-
-    def test_rejects_impossible_budget(self, stream):
-        with pytest.raises(ValueError):
-            ClipStore(stream, chunk_frames=64, memory_budget_bytes=1024)
+    def test_reread_is_served_from_the_store(self):
+        clip = VideoStream.synthetic(64, 0.3, seed=124)
+        for _ in range(2):
+            for t in (10, 11, 12):
+                clip.pixels(t)
+        st = clip.stats()
+        assert (st["frames_read"], st["frames_rendered"]) == (6, 3)
+        assert st["stored_bytes"] == 3 * clip.shape[0] * clip.shape[1] * 4
 
     def test_rejects_bad_chunk(self, stream):
         with pytest.raises(ValueError):
-            ClipStore(stream, chunk_frames=0)
+            next(stream.iter_chunks(0))
 
     def test_out_of_range(self, stream):
-        store = ClipStore(stream)
-        with pytest.raises(IndexError):
-            store.pixels(800)
+        for t in (800, -1):
+            with pytest.raises(IndexError):
+                stream.pixels(t)
 
 
 class TestDiurnalWorkload:
