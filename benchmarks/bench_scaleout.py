@@ -1,13 +1,15 @@
 """Scale-out benchmarks: process-pool SDD and cross-stream SNM fusion.
 
-PR 4's scale-out machinery changes *where* stage work executes, not *what*
+The scale-out machinery changes *where* stage work executes, not *what*
 it computes, so this suite gates on bit-identity and records throughput:
 
 * **SDD pool sweep** — the flagship process-pool stage at 8 streams, for
   worker counts {1, 2, 4}: inline threaded evaluation (GIL-bound) vs
-  :class:`~repro.runtime.procpool.ProcPool` dispatch over the
-  shared-memory frame plane, at equal dispatcher concurrency.  The pool's
-  pass masks must equal the inline masks exactly.
+  :class:`~repro.runtime.procpool.ProcPool` dispatch, at equal dispatcher
+  concurrency.  A batch is ``(stream, frame indices)``: the inline path
+  reads it from the stored clip in the dispatching thread, a pool worker
+  in its own process.  The pool's pass masks must equal the inline masks
+  exactly.
 * **SNM fusion** — a mixed 8-stream mega-batch through
   :class:`~repro.models.snm.FusedSNM`'s weight-stacked forward vs the same
   frames through each stream's own ``predict_proba`` sequentially.  Probs
@@ -92,19 +94,18 @@ def _replicated(streams, zoo, n: int):
 
 
 def _sdd_work_items(streams, n_batches: int):
-    """Per-stream SDD batches: ``(pixels, stream_index)`` pairs, 8 streams.
+    """Per-stream SDD batches: ``(stream_idx, frame_idxs)`` pairs, 8 streams.
 
     Mirrors the runtime's dispatch shape — SDD is ``per_stream``, so every
-    batch carries frames of exactly one stream.
+    batch carries frames of exactly one stream.  Every frame is already
+    stored (tracing read the whole clip), so no path renders.
     """
     reps = [streams[i % len(streams)] for i in range(N_STREAMS)]
-    items = []
-    for si, stream in enumerate(reps):
-        for b in range(n_batches):
-            idx = [(b * SDD_BATCH + k) % len(stream) for k in range(SDD_BATCH)]
-            pixels = np.stack([stream.pixels(i) for i in idx])
-            items.append((np.ascontiguousarray(pixels), si))
-    return items
+    return [
+        (si, [(b * SDD_BATCH + k) % len(stream) for k in range(SDD_BATCH)])
+        for si, stream in enumerate(reps)
+        for b in range(n_batches)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +113,14 @@ def _sdd_work_items(streams, n_batches: int):
 # ---------------------------------------------------------------------------
 def check_sdd_pool(streams, zoo) -> bool:
     """Pool pass masks must equal inline evaluation exactly."""
-    _, bundles = _replicated(streams, zoo, N_STREAMS)
+    reps, bundles = _replicated(streams, zoo, N_STREAMS)
     config = FFSVAConfig()
     items = _sdd_work_items(streams, n_batches=2)
-    slot_bytes = SDD_BATCH * max(s.shape[0] * s.shape[1] for s in streams) * 8
-    pool = ProcPool(
-        "sdd", _sdd_evaluate, bundles, zoo, config, 2, slot_bytes=slot_bytes
-    )
+    pool = ProcPool("sdd", _sdd_evaluate, reps, bundles, zoo, config, 2)
     try:
-        for pixels, si in items:
-            want, _ = _sdd_evaluate(pixels, [bundles[si]], zoo, config)
-            got, _, _ = pool.run_batch(pixels, [si] * len(pixels), None)
+        for si, ts in items:
+            want, _ = _sdd_evaluate(reps[si].pixel_batch(ts), [bundles[si]], zoo, config)
+            got, _, _ = pool.run_batch([si] * len(ts), ts, None)
             if not np.array_equal(np.asarray(got), np.asarray(want)):
                 return False
     finally:
@@ -135,7 +133,7 @@ def _timed_drain(items, submit, concurrency: int) -> float:
     abort = threading.Event()
     t0 = time.perf_counter()
     with ThreadPoolExecutor(max_workers=concurrency) as ex:
-        futs = [ex.submit(submit, pixels, si, abort) for pixels, si in items]
+        futs = [ex.submit(submit, si, ts, abort) for si, ts in items]
         for f in futs:
             f.result()
     return time.perf_counter() - t0
@@ -143,16 +141,15 @@ def _timed_drain(items, submit, concurrency: int) -> float:
 
 def sweep_sdd_pool(streams, zoo, quick: bool) -> dict:
     """SDD throughput at 8 streams, threads vs process pool, 1/2/4 workers."""
-    _, bundles = _replicated(streams, zoo, N_STREAMS)
+    fleet, bundles = _replicated(streams, zoo, N_STREAMS)
     config = FFSVAConfig()
     n_batches = 3 if quick else 10
     reps = 1 if quick else 3
     items = _sdd_work_items(streams, n_batches=n_batches)
     total_frames = len(items) * SDD_BATCH
-    slot_bytes = SDD_BATCH * max(s.shape[0] * s.shape[1] for s in streams) * 8
 
-    def inline_submit(pixels, si, abort):
-        return _sdd_evaluate(pixels, [bundles[si]], zoo, config)
+    def inline_submit(si, ts, abort):
+        return _sdd_evaluate(fleet[si].pixel_batch(ts), [bundles[si]], zoo, config)
 
     sweep: dict[str, dict] = {}
     rows = []
@@ -160,15 +157,12 @@ def sweep_sdd_pool(streams, zoo, quick: bool) -> dict:
         thread_times, pool_times = [], []
         for _ in range(reps):
             thread_times.append(_timed_drain(items, inline_submit, workers))
-            pool = ProcPool(
-                "sdd", _sdd_evaluate, bundles, zoo, config, workers,
-                slot_bytes=slot_bytes,
-            )
+            pool = ProcPool("sdd", _sdd_evaluate, fleet, bundles, zoo, config, workers)
             try:
                 pool_times.append(
                     _timed_drain(
                         items,
-                        lambda px, si, ab: pool.run_batch(px, [si] * len(px), ab),
+                        lambda si, ts, ab: pool.run_batch([si] * len(ts), ts, ab),
                         workers,
                     )
                 )

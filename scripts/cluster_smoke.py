@@ -13,10 +13,18 @@ stage slowed enough that the pair overloads it on any host.  The run must:
 * produce a router decision log that replays deterministically, and that a
   simulated cluster fed the equivalent load skew reproduces.
 
+Beforehand it runs two of the streams once through a ``ThreadedPipeline``
+with ``executor="process"``.  Frames cross both process boundaries — pool
+worker and cluster handoff — as ``(stream, frame index)`` only, so after
+the pool run and the forced handoff ``/dev/shm`` must hold no entry it did
+not hold at the start: neither path creates (or leaks) a shared-memory
+segment.
+
 Exit code 0 means the cluster story works on this interpreter.
 """
 
 import dataclasses
+import os
 import sys
 import time
 from pathlib import Path
@@ -29,7 +37,7 @@ from repro.devices.costs import CostModel  # noqa: E402
 from repro.models import ModelZoo  # noqa: E402
 from repro.nn import TrainConfig  # noqa: E402
 from repro.obs import parse_prometheus  # noqa: E402
-from repro.runtime import ClusterSupervisor, StreamRouter  # noqa: E402
+from repro.runtime import ClusterSupervisor, StreamRouter, ThreadedPipeline  # noqa: E402
 from repro.sim import ClusterSimulator  # noqa: E402
 from repro.video import jackson, make_stream  # noqa: E402
 
@@ -74,7 +82,12 @@ def cluster_config() -> FFSVAConfig:
     )
 
 
+def shm_entries() -> set[str]:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
 def main() -> int:
+    shm_before = shm_entries()
     zoo = ModelZoo()
     streams = []
     for i, tor in enumerate(TORS):
@@ -86,6 +99,14 @@ def main() -> int:
             train_config=TrainConfig(epochs=3, batch_size=32, seed=7),
         )
         streams.append(s)
+
+    # The process executor: pool workers read their batches by index.
+    pair = streams[:2]
+    pipe = ThreadedPipeline(pair, zoo, FFSVAConfig(executor="process", num_sdd_procs=2))
+    m = pipe.run(N_FRAMES)
+    assert m.frames_offered == len(pipe.outcomes) == len(pair) * N_FRAMES
+    pool = m.extra["procpool"]["sdd"]
+    assert pool["frames"] == m.stages["sdd"].entered and pool["crashed_workers"] == 0, pool
 
     sup = ClusterSupervisor(
         streams, zoo, cluster_config(), graph=slow_tyolo_graph(0.025)
@@ -143,10 +164,14 @@ def main() -> int:
         f"simulated twin decided {sim_res.moves[:1]}, threaded {res.moves[:1]}"
     )
 
+    leaked = sorted(shm_entries() - shm_before)
+    assert not leaked, f"/dev/shm gained {leaked} across the pool run and the handoff"
+
     print(
         f"cluster smoke: {len(res.instances)} instances, moves={res.moves}, "
         f"{res.total_offered}/{planned} frames conserved, aggregated metrics "
-        "consistent — ok"
+        f"consistent, process executor {pool['frames']} SDD frames in "
+        f"{pool['workers']} workers, /dev/shm unchanged — ok"
     )
     return 0
 

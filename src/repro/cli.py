@@ -61,7 +61,8 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
         choices=["thread", "process"],
         default="thread",
         help="run CPU-hosted stages (SDD) inline in worker threads, or on a "
-             "pool of worker processes fed through the shared-memory frame plane",
+             "pool of worker processes that read each batch's frames by index "
+             "from the stored clips they inherit",
     )
     p.add_argument(
         "--num-sdd-procs", type=int, default=2, metavar="N",

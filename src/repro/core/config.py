@@ -60,9 +60,10 @@ class FFSVAConfig:
     num_t_yolo: int = 2
 
     # --- scale-out execution plane (repro.runtime.procpool) --------------
-    # "process" runs CPU-hosted stages (SDD) on a pool of worker processes
-    # fed through the shared-memory frame plane, sidestepping the GIL;
-    # "thread" (the default) keeps every stage in its worker thread.
+    # "process" runs CPU-hosted stages (SDD) on a pool of worker processes,
+    # sidestepping the GIL: a batch is sent as (stream, frame) indices and
+    # each worker reads the stored clips it inherited at fork; "thread" (the
+    # default) keeps every stage in its worker thread.
     executor: str = "thread"
     # Worker processes in the SDD pool when executor="process".
     num_sdd_procs: int = 2
@@ -117,10 +118,6 @@ class FFSVAConfig:
     # can be re-forwarded *to* it mid-run (queues and workers must exist
     # before the run starts; a used slot is not recycled).
     cluster_reserve_slots: int = 2
-    # Frames the shedding instance renders into the shared-memory handoff
-    # plane so the receiving instance starts without re-rendering the
-    # frames that were already in flight at the boundary.
-    cluster_handoff_window: int = 8
 
     # Frames per second each live stream delivers.
     stream_fps: float = 30.0
@@ -249,8 +246,6 @@ class FFSVAConfig:
             raise ValueError("router_port must be in [0, 65535] or None")
         if self.cluster_reserve_slots < 0:
             raise ValueError("cluster_reserve_slots must be >= 0")
-        if self.cluster_handoff_window < 0:
-            raise ValueError("cluster_handoff_window must be >= 0")
         if self.stream_fps <= 0:
             raise ValueError("stream_fps must be positive")
         if self.plan not in ("static", "adaptive"):

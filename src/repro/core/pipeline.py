@@ -121,7 +121,7 @@ _FAN_INS = (PER_STREAM, SHARED_RR, MERGED, FUSED)
 
 #: How a stage's work is executed by the threaded runtime: in the worker
 #: thread itself, or shipped to a pool of worker processes
-#: (:mod:`repro.runtime.procpool`) via the shared-memory frame plane.
+#: (:mod:`repro.runtime.procpool`) as ``(stream, frame)`` indices.
 EXECUTORS = ("thread", "process")
 
 _BATCH_KINDS = ("fixed", "config", "rr_cap")
@@ -197,8 +197,9 @@ class StageSpec:
     cost: tuple[float, float] | None = None
     #: ``"thread"`` runs the stage's logic inline in its worker thread;
     #: ``"process"`` ships batches to a :class:`repro.runtime.procpool.ProcPool`
-    #: over the shared-memory frame plane (CPU stages only — the flagship
-    #: user is SDD, which the GIL otherwise serializes across streams).
+    #: as frame indices, read back from the stored clip in the worker (CPU
+    #: stages only — the flagship user is SDD, which the GIL otherwise
+    #: serializes across streams).
     executor: str = "thread"
     #: Object-level consolidation: the stage packs active regions from its
     #: mega-batch onto composite canvases and runs the detector per canvas.

@@ -18,14 +18,12 @@
   shed/re-forward move, which is actuated as::
 
       detach(src)  ->  frame boundary k
-      attach(dst, stream, start=k)   # leading frames via shared memory
-      release(src)                   # handoff plane unlinked
+      attach(dst, stream, start=k)
 
-  The shedding instance renders up to ``cluster_handoff_window`` frames
-  after the boundary into a :class:`~repro.video.frame.SharedFramePlane`
-  and ships one descriptor over the channel, so the receiving instance
-  starts without re-rendering the frames that were in flight — frames
-  cross the instance boundary without re-encoding.
+  Only the boundary crosses the channel: the receiving instance reads
+  frames ``k`` onward from the stream it inherited at fork, like any other
+  feed (the shedding instance never offered them, so it has nothing to
+  hand over).
 
 **Frame conservation across a handoff** (the invariant the cluster tests
 assert): ``detach`` returns ``k = start + offered``, the first index never
@@ -45,10 +43,7 @@ import os
 import socket
 import threading
 import time
-from multiprocessing import resource_tracker
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..core.admission import estimate_headroom
 from ..core.config import FFSVAConfig
@@ -57,7 +52,7 @@ from ..core.pipeline import StageGraph
 from ..models.zoo import ModelZoo
 from ..obs import Telemetry
 from ..obs.export import ClusterMetricsServer, MetricsAggregator
-from ..video.frame import DescriptorChannel, SharedFramePlane
+from ..video.frame import DescriptorChannel
 from ..video.stream import VideoStream
 from .engine import ThreadedPipeline
 from .router import InstanceReport, StreamRouter
@@ -129,7 +124,6 @@ def _instance_main(
     runner.start()
     chan.send({"cmd": "hello", "instance": instance_id, "metrics_url": server.url})
 
-    handoff_plane: SharedFramePlane | None = None
     try:
         while True:
             msg = chan.recv(timeout=60.0)
@@ -152,45 +146,23 @@ def _instance_main(
                     }
                 )
             elif cmd == "detach":
+                # The router chose from the previous poll, so the stream may
+                # have finished offering since: look among every slot, not
+                # only the active ones (the latest slot is its live one).  A
+                # finished feed detaches at its end, and nothing is attached.
                 sid = msg["stream"]
-                slot = pipeline.active_streams()[sid]
-                nxt = pipeline.detach_stream(slot)
-                end = ends[sid]
-                desc = None
-                window = min(config.cluster_handoff_window, max(0, end - nxt))
-                if window > 0:
-                    stream = by_id[sid]
-                    block = np.stack(
-                        [stream.pixels(i) for i in range(nxt, nxt + window)]
-                    )
-                    handoff_plane = SharedFramePlane(1, block.nbytes)
-                    slot_idx = handoff_plane.acquire(block.nbytes)
-                    desc = DescriptorChannel.pack_descriptor(
-                        handoff_plane.write(slot_idx, block)
-                    )
-                chan.send({"next": nxt, "end": end, "desc": desc})
+                slot = max(
+                    i for i, c in enumerate(pipeline.ctxs)
+                    if c.stream is not None and c.stream.stream_id == sid
+                )
+                chan.send({"next": pipeline.detach_stream(slot), "end": ends[sid]})
             elif cmd == "attach":
-                sid = msg["stream"]
-                preloaded = None
-                if msg.get("desc") is not None:
-                    desc = DescriptorChannel.unpack_descriptor(msg["desc"])
-                    plane = SharedFramePlane.attach(desc.slab)
-                    block = plane.view(desc)
-                    preloaded = [np.array(block[k]) for k in range(block.shape[0])]
-                    plane.close()
                 slot = pipeline.attach_stream(
-                    by_id[sid],
+                    by_id[msg["stream"]],
                     start=int(msg["start"]),
                     n_frames=int(msg["end"]),
-                    preloaded=preloaded,
                 )
                 chan.send({"slot": slot})
-            elif cmd == "release":
-                if handoff_plane is not None:
-                    handoff_plane.close()
-                    handoff_plane.unlink()
-                    handoff_plane = None
-                chan.send({"ok": True})
             elif cmd == "seal":
                 pipeline.seal()
                 chan.send({"ok": True})
@@ -215,9 +187,6 @@ def _instance_main(
             else:  # pragma: no cover - protocol defense
                 chan.send({"error": f"unknown command {cmd!r}"})
     finally:
-        if handoff_plane is not None:
-            handoff_plane.close()
-            handoff_plane.unlink()
         server.stop()
         chan.close()
 
@@ -307,13 +276,6 @@ class ClusterSupervisor:
         # Fork every instance before the supervisor creates any thread of
         # its own (HTTP servers, aggregator scrapes) — a multi-threaded
         # parent and the "fork" start method don't mix.
-        #
-        # Start the resource tracker first so every instance inherits the
-        # same tracker: on Python < 3.13 attaching a handoff slab registers
-        # its name too, and only a shared tracker dedupes that against the
-        # shedding side's unlink (separate per-child trackers would warn
-        # about a "leaked" segment the source already destroyed).
-        resource_tracker.ensure_running()
         ctx = multiprocessing.get_context("fork")
         procs = []
         for i in range(n_inst):
@@ -438,7 +400,7 @@ class ClusterSupervisor:
                 p.join(timeout=5.0)
 
     def _actuate(self, chans: dict[int, DescriptorChannel], move) -> None:
-        """Apply one router move: detach at a boundary, re-forward, release."""
+        """Apply one router move: detach at a boundary, then re-forward."""
         src, dst = chans[move.src], chans[move.dst]
         handoff = self._rpc(src, {"cmd": "detach", "stream": move.stream})
         self.handoffs.append(
@@ -449,17 +411,13 @@ class ClusterSupervisor:
                 "boundary": int(handoff["next"]),
             }
         )
-        try:
-            if handoff["next"] < handoff["end"]:
-                self._rpc(
-                    dst,
-                    {
-                        "cmd": "attach",
-                        "stream": move.stream,
-                        "start": handoff["next"],
-                        "end": handoff["end"],
-                        "desc": handoff["desc"],
-                    },
-                )
-        finally:
-            self._rpc(src, {"cmd": "release"})
+        if handoff["next"] < handoff["end"]:
+            self._rpc(
+                dst,
+                {
+                    "cmd": "attach",
+                    "stream": move.stream,
+                    "start": handoff["next"],
+                    "end": handoff["end"],
+                },
+            )

@@ -118,7 +118,6 @@ class _Feed:
     slot: int
     start: int
     count: int
-    preloaded: list | None = None  # handoff-window pixels for leading frames
     offered: int = 0
     source0: np.ndarray = field(init=False)  # the stream's _source_counts() at creation
     t0: float | None = None  # pacing origin: the first pop
@@ -157,11 +156,11 @@ class _Feed:
                 time.sleep(wait if timeout is None else min(wait, timeout))
             due = int((time.monotonic() - t0) * fps) + 1 - j
             n = min(n, due) if due >= min_n else 0
-        stream, pre = pipe.ctxs[self.slot].stream, self.preloaded or ()
-        works = []
-        for i in range(j, j + n):
-            pixels = pre[i] if i < len(pre) else stream.pixels(self.start + i)
-            works.append(_Work(self.slot, self.start + i, pixels, time.monotonic()))
+        stream = pipe.ctxs[self.slot].stream
+        works = [
+            _Work(self.slot, i, stream.pixels(i), time.monotonic())
+            for i in range(self.start + j, self.start + j + n)
+        ]
         self.offered = j + n
         if works and pipe._pull and pipe.telemetry is not None:
             now, first = pipe._now(), pipe.graph.first.name
@@ -500,20 +499,19 @@ class ThreadedPipeline:
                     cfg = self._cfg_for_degree(d)
         try:
             n = len(works)
-            if n == 1:
+            pool = self._pools.get(spec.name)
+            if pool is None:
                 # Singleton batches are the threaded runtime's common case at
                 # low load: a (1, H, W) view costs nothing, np.stack copies.
-                pixels = works[0].pixels[None]
-            else:
-                pixels = self._stacked_pixels(works, scratch)
-            pool = self._pools.get(spec.name)
+                pixels = works[0].pixels[None] if n == 1 else self._stacked_pixels(works, scratch)
             if pool is not None:
-                # Process-pool path: the batch travels as a shared-memory
-                # descriptor; no device lock (pools host CPU stages) and no
-                # GIL contention — the busy time is the worker's own clock.
+                # Process-pool path: the batch travels as (stream, frame)
+                # indices and the worker reads the stored clip itself; no
+                # device lock (pools host CPU stages) and no GIL contention —
+                # the busy time is the worker's own clock.
                 t_exec = self._now()
                 passes, info, busy = pool.run_batch(
-                    pixels, [w.stream_idx for w in works], self._abort
+                    [w.stream_idx for w in works], [w.index for w in works], self._abort
                 )
                 t_done = self._now()
                 if self._abort.is_set():
@@ -781,14 +779,12 @@ class ThreadedPipeline:
         *,
         start: int = 0,
         n_frames: int | None = None,
-        preloaded: list | None = None,
     ) -> int:
         """Attach a re-forwarded stream to a free reserve slot mid-run.
 
         Offers frames ``[start, end)`` where ``end`` is ``len(stream)``
-        capped by ``n_frames``; ``preloaded`` optionally supplies pixel
-        arrays for the leading frames (the shared-memory handoff window) so
-        the first offers need no re-render.  Returns the slot index.
+        capped by ``n_frames``, read from the stream like any other feed's.
+        Returns the slot index.
         """
         if stream.stream_id not in self.zoo:
             raise ValueError(f"stream {stream.stream_id} has no trained models")
@@ -810,7 +806,7 @@ class ThreadedPipeline:
             # workers read ctx/bundle through the slot index.
             self.ctxs[slot] = _StreamCtx(stream=stream, bundle=self.zoo[stream.stream_id])
             self.kernel.add_stream(_stream_info(stream), slot)
-            self._feeds[slot] = _Feed(self, slot, start, end - start, preloaded)
+            self._feeds[slot] = _Feed(self, slot, start, end - start)
             self.metrics.frames_offered += end - start
             t = self._source_thread(slot)
             self._dyn_threads.append(t)
@@ -891,30 +887,15 @@ class ThreadedPipeline:
                 if stats is not None:
                     self.kernel.mosaic[spec.name] = stats
         # Worker processes must fork before any runtime thread exists (a
-        # multi-threaded parent and the "fork" start method don't mix).
+        # multi-threaded parent and the "fork" start method don't mix); they
+        # read their batches from the streams they inherit here.
+        streams = [ctx.stream for ctx in self.ctxs]
         for spec in self.graph:
-            if spec.executor != "process":
-                continue
-            max_n, _ = self._batch_bounds(spec)
-            # 8 bytes/px accommodates float64 frames; synthetic streams
-            # render float32, so slabs are typically half-used.
-            slot_bytes = (
-                max_n
-                * max(
-                    h * w
-                    for h, w in (c.stream.shape for c in self.ctxs if c.stream is not None)
+            if spec.executor == "process":
+                self._pools[spec.name] = ProcPool(
+                    spec.name, spec.logic.evaluate, streams, bundles,
+                    self.zoo, self.config, self.config.num_sdd_procs,
                 )
-                * 8
-            )
-            self._pools[spec.name] = ProcPool(
-                spec.name,
-                spec.logic.evaluate,
-                bundles,
-                self.zoo,
-                self.config,
-                self.config.num_sdd_procs,
-                slot_bytes=slot_bytes,
-            )
 
         # A reserve slot gets no source thread: its first-stage input closes
         # at attach-exhaust or seal().

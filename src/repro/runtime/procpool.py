@@ -1,4 +1,4 @@
-"""Process-pool stage executor over the shared-memory frame plane.
+"""Process-pool stage executor: frames cross the boundary as indices.
 
 The threaded runtime is GIL-bound: per-stream SDD workers serialize on the
 interpreter, so adding streams adds contention instead of throughput.
@@ -6,10 +6,13 @@ Stages that opt in with ``StageSpec.executor = "process"`` (SDD is the
 flagship — the paper runs it on CPU at ~20K FPS) dispatch their batches to
 a :class:`ProcPool` of worker processes instead of evaluating inline.
 
-Pixel payloads never cross the process boundary: the dispatching thread
-copies the stacked batch into a :class:`~repro.video.frame.SharedFramePlane`
-slot and sends only a :class:`~repro.video.frame.FrameDescriptor` (slab
-name, slot, offset, shape, dtype); the worker maps a zero-copy view and
+Pixels never cross the process boundary: a batch is sent as its
+``(stream, frame index)`` pairs, and the worker reads the frames from the
+streams it inherited at fork — one ``preadv`` per stored frame, since a
+stream's :class:`~repro.video.clipstore.StoredClip` shares its file and
+presence flags with every child forked after its first write (DESIGN §21).
+The parent has already read (and so stored) every frame it dispatches; only
+a frame past ``STORE_CAP_BYTES`` renders in the worker as well.  The worker
 returns just the boolean pass mask.
 
 Lifecycle and fault model
@@ -22,10 +25,8 @@ Lifecycle and fault model
   — known precisely because results resolve them — are requeued onto the
   surviving workers.  A batch is lost only when every worker is gone, which
   surfaces as a pipeline error, never a hang.
-* The parent owns frame-plane slots end-to-end: a slot is acquired before
-  dispatch and released when the batch's future resolves (result, requeue
-  included, or failure).  Workers never free slots, so a crash cannot leak
-  or double-free one.
+* A task is plain indices, so a crash leaks nothing: no shared segment
+  exists to free.
 
 Per-worker execution counters (batches, frames, busy seconds) are collected
 with the results and merged into ``RunMetrics.extra["procpool"]``.
@@ -37,10 +38,10 @@ import multiprocessing as mp
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
-
-from ..video.frame import SharedFramePlane
 
 __all__ = ["ProcPool", "PoolStats"]
 
@@ -85,28 +86,36 @@ class _Future:
         self.error: str | None = None
 
 
-def _worker_main(worker_id, slab_name, task_q, result_q, evaluate, bundles, zoo, config):
-    """Worker-process loop: view the batch, evaluate, send the mask back."""
-    plane = SharedFramePlane.attach(slab_name)
-    try:
-        while True:
-            item = task_q.get()
-            if item is None:
-                break
-            task_id, desc, stream_idx = item
-            try:
-                pixels = plane.view(desc)
-                batch_bundles = [bundles[i] for i in stream_idx]
-                t0 = time.perf_counter()
-                passes, info = evaluate(pixels, batch_bundles, zoo, config)
-                dt = time.perf_counter() - t0
-                passes = np.asarray(passes, dtype=bool)
-                info = None if info is None else np.asarray(info)
-                result_q.put((task_id, worker_id, passes, info, dt, None))
-            except BaseException as exc:
-                result_q.put((task_id, worker_id, None, None, 0.0, repr(exc)))
-    finally:
-        plane.close()
+def _read_batch(streams, stream_idx, frame_idx) -> np.ndarray:
+    """The batch's ``(N, H, W)`` pixels, read with one ``pixel_batch`` per run
+    of frames from the same stream."""
+    out = np.empty((len(frame_idx), *streams[stream_idx[0]].shape), dtype=np.float32)
+    k = 0
+    for s, run in groupby(zip(stream_idx, frame_idx), key=itemgetter(0)):
+        ts = [t for _, t in run]
+        streams[s].pixel_batch(ts, out=out[k : k + len(ts)])
+        k += len(ts)
+    return out
+
+
+def _worker_main(worker_id, task_q, result_q, evaluate, streams, bundles, zoo, config):
+    """Worker-process loop: read the batch, evaluate, send the mask back."""
+    while True:
+        item = task_q.get()
+        if item is None:
+            break
+        task_id, stream_idx, frame_idx = item
+        try:
+            pixels = _read_batch(streams, stream_idx, frame_idx)
+            batch_bundles = [bundles[i] for i in stream_idx]
+            t0 = time.perf_counter()
+            passes, info = evaluate(pixels, batch_bundles, zoo, config)
+            dt = time.perf_counter() - t0
+            passes = np.asarray(passes, dtype=bool)
+            info = None if info is None else np.asarray(info)
+            result_q.put((task_id, worker_id, passes, info, dt, None))
+        except BaseException as exc:
+            result_q.put((task_id, worker_id, None, None, 0.0, repr(exc)))
 
 
 class ProcPool:
@@ -117,24 +126,23 @@ class ProcPool:
     evaluate:
         The stage's ``StageLogic.evaluate`` (a module-level function, so it
         pickles under the ``spawn`` start method too).
+    streams:
+        The streams, indexed by stream index: anything with ``shape`` and
+        ``pixel_batch(ts, out=)``.  Workers read their batches from these.
     bundles:
         Per-stream model bundles, indexed by stream index.
-    slot_bytes:
-        Size of one frame-plane slot — must hold the largest stacked batch
-        the stage can dispatch.
     """
 
     def __init__(
         self,
         name: str,
         evaluate,
+        streams: list,
         bundles: list,
         zoo,
         config,
         n_workers: int,
         *,
-        slot_bytes: int,
-        slots: int | None = None,
         start_method: str | None = None,
     ):
         if n_workers < 1:
@@ -144,10 +152,6 @@ class ProcPool:
         if start_method is None:
             start_method = "fork" if "fork" in methods else "spawn"
         ctx = mp.get_context(start_method)
-        # Enough slots that every worker can hold one batch while the
-        # dispatchers stage the next ones; acquire() blocking is the
-        # back-pressure path, not the steady state.
-        self.plane = SharedFramePlane(slots or max(2 * n_workers, 4), slot_bytes)
         self._result_q = ctx.Queue()
         self._task_qs = []
         self._procs = []
@@ -155,7 +159,7 @@ class ProcPool:
             tq = ctx.Queue()
             proc = ctx.Process(
                 target=_worker_main,
-                args=(wid, self.plane.name, tq, self._result_q, evaluate, bundles, zoo, config),
+                args=(wid, tq, self._result_q, evaluate, streams, bundles, zoo, config),
                 name=f"{name}-pool-{wid}",
                 daemon=True,
             )
@@ -186,11 +190,12 @@ class ProcPool:
     # ------------------------------------------------------------------
     def run_batch(
         self,
-        pixels: np.ndarray,
         stream_idx: list[int],
+        frame_idx: list[int],
         abort: threading.Event | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None, float]:
-        """Execute one stacked batch on a worker; blocks until resolved.
+        """Execute the batch of frames ``frame_idx[k]`` of streams
+        ``stream_idx[k]`` on a worker; blocks until resolved.
 
         Returns ``(passes, info, exec_seconds)`` — the same contract as
         calling the stage logic inline.  Raises ``RuntimeError`` if the
@@ -198,40 +203,28 @@ class ProcPool:
         conservative all-``False`` mask only on abort, where the caller is
         about to record the frames as aborted anyway.
         """
-        pixels = np.ascontiguousarray(pixels)
-        while True:
-            try:
-                slot = self.plane.acquire(pixels.nbytes, timeout=_POLL)
-                break
-            except TimeoutError:
-                if abort is not None and abort.is_set():
-                    return np.zeros(len(pixels), dtype=bool), None, 0.0
-        try:
-            desc = self.plane.write(slot, pixels)
-            fut = _Future()
-            with self._lock:
-                task_id = self._next_task
-                self._next_task += 1
-                self._futures[task_id] = fut
-                task = (task_id, desc, tuple(int(i) for i in stream_idx))
-                wid = self._pick_worker_locked()
-                if wid is None:
+        fut = _Future()
+        with self._lock:
+            task_id = self._next_task
+            self._next_task += 1
+            self._futures[task_id] = fut
+            task = (task_id, tuple(map(int, stream_idx)), tuple(map(int, frame_idx)))
+            wid = self._pick_worker_locked()
+            if wid is None:
+                self._futures.pop(task_id, None)
+                raise RuntimeError(f"{self.name} pool has no live workers")
+            self._inflight[wid][task_id] = task
+        self._task_qs[wid].put(task)
+        while not fut.event.wait(_POLL):
+            if abort is not None and abort.is_set():
+                with self._lock:
                     self._futures.pop(task_id, None)
-                    raise RuntimeError(f"{self.name} pool has no live workers")
-                self._inflight[wid][task_id] = task
-            self._task_qs[wid].put(task)
-            while not fut.event.wait(_POLL):
-                if abort is not None and abort.is_set():
-                    with self._lock:
-                        self._futures.pop(task_id, None)
-                        for inflight in self._inflight.values():
-                            inflight.pop(task_id, None)
-                    return np.zeros(len(pixels), dtype=bool), None, 0.0
-            if fut.error is not None:
-                raise RuntimeError(f"{self.name} pool batch failed: {fut.error}")
-            return fut.passes, fut.info, fut.exec_seconds
-        finally:
-            self.plane.release(slot)
+                    for inflight in self._inflight.values():
+                        inflight.pop(task_id, None)
+                return np.zeros(len(frame_idx), dtype=bool), None, 0.0
+        if fut.error is not None:
+            raise RuntimeError(f"{self.name} pool batch failed: {fut.error}")
+        return fut.passes, fut.info, fut.exec_seconds
 
     def _pick_worker_locked(self) -> int | None:
         n = len(self._procs)
@@ -338,9 +331,4 @@ class ProcPool:
             tq.cancel_join_thread()
         self._result_q.close()
         self._result_q.cancel_join_thread()
-        self.plane.close()
-        try:
-            self.plane.unlink()
-        except FileNotFoundError:  # pragma: no cover
-            pass
         return self.stats

@@ -8,7 +8,7 @@ behaviour FFS-VA's filters depend on.
 
 from .clipstore import StoredClip
 from .diurnal import day_stream, make_day_script
-from .frame import Frame, FrameDescriptor, GroundTruthObject, SharedFramePlane
+from .frame import Frame, GroundTruthObject
 from .ops import block_reduce_mean, normalize_unit, resize_bilinear, to_float01
 from .scene import ObjectTrack, SceneScript, make_script, scenes_from_counts
 from .stream import VideoStream
@@ -18,8 +18,6 @@ from .workloads import WorkloadSpec, coral, jackson, make_stream, make_streams
 __all__ = [
     "Frame",
     "GroundTruthObject",
-    "FrameDescriptor",
-    "SharedFramePlane",
     "ObjectTrack",
     "SceneScript",
     "make_script",

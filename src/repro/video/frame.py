@@ -14,17 +14,13 @@ import json
 import socket
 import struct
 import threading
-from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 
 import numpy as np
 
 __all__ = [
     "GroundTruthObject",
     "Frame",
-    "FrameDescriptor",
-    "SharedFramePlane",
     "DescriptorChannel",
 ]
 
@@ -103,156 +99,14 @@ class Frame:
         return self.count(kind, min_visibility) > 0
 
 
-# ---------------------------------------------------------------------------
-# Shared-memory frame plane
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FrameDescriptor:
-    """Zero-copy handle to pixel data living in a shared-memory slab.
-
-    This is what actually crosses a process boundary when a stage runs on
-    the process-pool executor: a few bytes of metadata instead of the pixel
-    payload.  The worker materializes a NumPy view with
-    :meth:`SharedFramePlane.view`.
-
-    Attributes
-    ----------
-    slab:
-        OS name of the ``multiprocessing.shared_memory`` segment.
-    slot:
-        Ring-allocator slot index (identifies the reservation to release).
-    offset:
-        Byte offset of the payload within the slab.
-    shape, dtype:
-        NumPy reconstruction metadata; ``dtype`` is the dtype's string name
-        so the descriptor pickles as plain data.
-    """
-
-    slab: str
-    slot: int
-    offset: int
-    shape: tuple[int, ...]
-    dtype: str
-
-    @property
-    def nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
-
-
-class SharedFramePlane:
-    """A ring of fixed-size shared-memory slots for frame batches.
-
-    Ownership rules (see DESIGN.md §9):
-
-    * The **parent** process creates the plane, owns slot lifecycle
-      (:meth:`acquire` / :meth:`release`), and is the only side that ever
-      calls :meth:`unlink`.  A slot is acquired before dispatching a batch
-      and released only after the result (or the crash requeue) for that
-      batch has been resolved — workers never free slots.
-    * **Workers** attach by slab name and only ever map read-only-by-
-      convention views; they must not resize, release, or unlink.
-
-    ``slot_bytes`` bounds the largest single batch payload; :meth:`acquire`
-    blocks (FIFO over a condition variable) when every slot is in flight,
-    which back-pressures dispatch exactly like a bounded queue.
-    """
-
-    def __init__(self, slots: int, slot_bytes: int, *, name: str | None = None):
-        if slots < 1 or slot_bytes < 1:
-            raise ValueError("slots and slot_bytes must be >= 1")
-        self.slots = int(slots)
-        self.slot_bytes = int(slot_bytes)
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=self.slots * self.slot_bytes, name=name
-        )
-        self._free: deque[int] = deque(range(self.slots))
-        self._cond = threading.Condition()
-        self._closed = False
-
-    # -- parent side ----------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def acquire(self, nbytes: int, timeout: float | None = None) -> int:
-        """Reserve a slot for a payload of ``nbytes``; blocks when full.
-
-        Returns the slot index.  Raises ``ValueError`` for payloads larger
-        than a slot and ``TimeoutError`` if no slot frees up in time.
-        """
-        if nbytes > self.slot_bytes:
-            raise ValueError(
-                f"payload of {nbytes} bytes exceeds slot size {self.slot_bytes}"
-            )
-        with self._cond:
-            while not self._free:
-                if self._closed:
-                    raise RuntimeError("frame plane is closed")
-                if not self._cond.wait(timeout):
-                    raise TimeoutError("timed out waiting for a free frame-plane slot")
-            return self._free.popleft()
-
-    def release(self, slot: int) -> None:
-        """Return a slot to the ring once its batch result is resolved."""
-        if not 0 <= slot < self.slots:
-            raise ValueError(f"slot {slot} out of range")
-        with self._cond:
-            self._free.append(slot)
-            self._cond.notify()
-
-    def write(self, slot: int, array: np.ndarray) -> FrameDescriptor:
-        """Copy ``array`` into ``slot`` and return its descriptor."""
-        array = np.ascontiguousarray(array)
-        offset = slot * self.slot_bytes
-        if array.nbytes > self.slot_bytes:
-            raise ValueError("array does not fit in one slot")
-        dst = np.ndarray(array.shape, array.dtype, buffer=self._shm.buf, offset=offset)
-        np.copyto(dst, array)
-        return FrameDescriptor(
-            slab=self._shm.name,
-            slot=slot,
-            offset=offset,
-            shape=tuple(array.shape),
-            dtype=array.dtype.name,
-        )
-
-    def view(self, desc: FrameDescriptor) -> np.ndarray:
-        """Zero-copy NumPy view of a descriptor's payload in this slab."""
-        if desc.slab != self._shm.name:
-            raise ValueError(f"descriptor is for slab {desc.slab!r}, not {self.name!r}")
-        return np.ndarray(
-            desc.shape, np.dtype(desc.dtype), buffer=self._shm.buf, offset=desc.offset
-        )
-
-    def close(self) -> None:
-        """Unmap this process's view (wakes any blocked acquirers)."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-        self._shm.close()
-
-    def unlink(self) -> None:
-        """Destroy the segment; parent-only, after every worker detached."""
-        self._shm.unlink()
-
-    # -- worker side ----------------------------------------------------
-    @classmethod
-    def attach(cls, name: str) -> "_AttachedPlane":
-        """Worker-side handle: maps the slab for :meth:`view` only."""
-        return _AttachedPlane(name)
-
-
 class DescriptorChannel:
-    """Socket control channel for shipping frame descriptors across
-    instance boundaries.
+    """Socket control channel between the cluster supervisor and its
+    pipeline-instance processes.
 
-    The cluster supervisor and each pipeline-instance process hold one end
-    of a connected TCP socket; the payload pixels themselves stay in a
-    :class:`SharedFramePlane` slab, so what crosses the wire during a
-    stream handoff is a :class:`FrameDescriptor` (slab name + geometry),
-    never re-encoded frames.
+    Each side holds one end of a connected TCP socket.  A frame crosses it
+    only as ``(stream, frame index)``: a stream handoff ships the boundary
+    index, and the receiving instance reads the frames from the stored clip
+    it inherited at fork — pixels never cross the wire.
 
     Wire format: a 4-byte big-endian length prefix followed by one JSON
     object.  ``send`` is lock-protected so control threads can interleave;
@@ -301,57 +155,3 @@ class DescriptorChannel:
         except OSError:
             pass
         self._sock.close()
-
-    # -- descriptor (de)serialization -----------------------------------
-    @staticmethod
-    def pack_descriptor(desc: FrameDescriptor) -> dict:
-        """JSON-safe dict form of a descriptor for :meth:`send`."""
-        return {
-            "slab": desc.slab,
-            "slot": desc.slot,
-            "offset": desc.offset,
-            "shape": list(desc.shape),
-            "dtype": desc.dtype,
-        }
-
-    @staticmethod
-    def unpack_descriptor(d: dict) -> FrameDescriptor:
-        return FrameDescriptor(
-            slab=d["slab"],
-            slot=int(d["slot"]),
-            offset=int(d["offset"]),
-            shape=tuple(int(x) for x in d["shape"]),
-            dtype=d["dtype"],
-        )
-
-
-class _AttachedPlane:
-    """Worker-process view of a :class:`SharedFramePlane` slab.
-
-    Never allocates, releases, or unlinks — the parent owns the ring.
-    Attaches with ``track=False`` where available (3.13+); on older builds
-    the plain attach re-registers the name with the resource tracker, which
-    is shared with the parent under every multiprocessing start method, so
-    the set-typed cache dedupes it and the parent's :meth:`unlink` clears
-    the single entry.
-    """
-
-    def __init__(self, name: str):
-        try:
-            self._shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:  # pragma: no cover - Python < 3.13 fallback
-            self._shm = shared_memory.SharedMemory(name=name)
-
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def view(self, desc: FrameDescriptor) -> np.ndarray:
-        if desc.slab != self._shm.name:
-            raise ValueError(f"descriptor is for slab {desc.slab!r}, not {self.name!r}")
-        return np.ndarray(
-            desc.shape, np.dtype(desc.dtype), buffer=self._shm.buf, offset=desc.offset
-        )
-
-    def close(self) -> None:
-        self._shm.close()

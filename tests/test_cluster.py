@@ -10,9 +10,9 @@ handoff.
 
 import dataclasses
 import socket
+import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro.core.admission import InstanceView, estimate_headroom, pick_move
@@ -23,13 +23,14 @@ from repro.models import ModelZoo
 from repro.nn import TrainConfig
 from repro.obs import SignalReader, TimeSeriesSampler
 from repro.obs.export import parse_prometheus
-from repro.runtime.cluster import ClusterSupervisor
+from repro.runtime.cluster import ClusterSupervisor, _instance_main
 from repro.runtime.router import InstanceReport, StreamRouter
 from repro.sim import ClusterSimulator
 from repro.video import jackson, make_stream
-from repro.video.frame import DescriptorChannel, SharedFramePlane
+from repro.video.frame import DescriptorChannel
 
 from tests.helpers import make_synth_trace
+from tests.test_source_workers import CountingStream, probe_graph, zoo_for
 
 
 def view(state="hold", headroom=0.0, costs=()):
@@ -213,27 +214,47 @@ class TestDescriptorChannel:
             tx.close()
             rx.close()
 
-    def test_descriptor_survives_the_wire_and_slab(self):
-        # The cluster handoff: pixels stay in a SharedFramePlane, only the
-        # descriptor crosses the channel.
-        block = np.arange(4 * 6 * 8, dtype=np.uint8).reshape(4, 6, 8)
-        plane = SharedFramePlane(1, block.nbytes)
-        tx, rx = self.pair()
+
+class TestInstanceControl:
+    """The instance side of the control channel, driven in-process over a
+    real socket with stub streams (tests/test_source_workers.py)."""
+
+    def test_detach_of_a_stream_that_finished_offering_replies_at_its_end(self):
+        # The router picks its stream from the previous poll's costs; when
+        # the stream pulls its last chunk in between, detach must still
+        # answer (next == end, so nothing is attached), not end the loop.
+        n = 64
+        stream = CountingStream("s0", n)
+        graph, _ = probe_graph()
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(30.0)
+        inst = threading.Thread(
+            target=_instance_main,
+            args=(0, listener.getsockname(), [stream], [stream], zoo_for([stream]),
+                  FFSVAConfig(cluster_reserve_slots=1), graph, None, False, None, None),
+            daemon=True,
+        )
+        inst.start()
+        conn, _ = listener.accept()
+        chan = DescriptorChannel(conn)
+        rpc = ClusterSupervisor._rpc
         try:
-            slot = plane.acquire(block.nbytes)
-            desc = plane.write(slot, block)
-            tx.send({"cmd": "attach", "desc": DescriptorChannel.pack_descriptor(desc)})
-            msg = rx.recv(timeout=5.0)
-            got = DescriptorChannel.unpack_descriptor(msg["desc"])
-            assert got == desc
-            attached = SharedFramePlane.attach(got.slab)
-            np.testing.assert_array_equal(attached.view(got), block)
-            attached.close()
+            assert chan.recv(timeout=30.0)["cmd"] == "hello"
+            deadline = time.monotonic() + 30.0
+            while (poll := rpc(chan, {"cmd": "poll"}))["outcomes"] < n:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert poll["costs"] == {}  # no longer offering: not sheddable
+            assert rpc(chan, {"cmd": "detach", "stream": "s0"}) == {"next": n, "end": n}
+            rpc(chan, {"cmd": "seal"})
+            final = rpc(chan, {"cmd": "finish"})
+            assert final["metrics"]["frames_offered"] == len(final["outcomes"]) == n
+            rpc(chan, {"cmd": "stop"})
         finally:
-            tx.close()
-            rx.close()
-            plane.close()
-            plane.unlink()
+            chan.close()
+            listener.close()
+            inst.join(timeout=10.0)
+        assert not inst.is_alive()
 
 
 # ---------------------------------------------------------------------------

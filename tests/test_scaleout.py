@@ -1,11 +1,11 @@
-"""Multi-stream scale-out: frame plane, process pools, fused SNM batches.
+"""Multi-stream scale-out: process pools and fused SNM batches.
 
-PR 4's machinery moves work across process boundaries and across streams
-without being allowed to change a single verdict.  These tests pin the
-three layers separately — the shared-memory frame plane (zero-copy
-descriptors, ring back-pressure), the :class:`~repro.runtime.procpool.ProcPool`
-executor (inline-identical results, exact crash requeue), and cross-stream
-SNM fusion (:func:`~repro.core.batching.decide_fused_batch` fairness plus
+The scale-out machinery moves work across process boundaries and across
+streams without being allowed to change a single verdict.  These tests pin
+the layers separately — the :class:`~repro.runtime.procpool.ProcPool`
+executor (frames sent as indices and read back in the worker,
+inline-identical results, exact crash requeue) and cross-stream SNM fusion
+(:func:`~repro.core.batching.decide_fused_batch` fairness plus
 :class:`~repro.models.snm.FusedSNM` / ``StackedSequential`` bit-identity)
 — and then the whole stack end-to-end against both the simulator's
 counters and the plain threaded pipeline's per-frame outcomes.
@@ -26,68 +26,7 @@ from repro.models.snm import SNM, FusedSNM, SNMConfig, build_snm_network
 from repro.nn import StackedSequential, TrainConfig
 from repro.runtime import ProcPool, ThreadedPipeline
 from repro.sim import PipelineSimulator
-from repro.video import SharedFramePlane, jackson, make_stream
-
-
-# ---------------------------------------------------------------------------
-# shared-memory frame plane
-# ---------------------------------------------------------------------------
-class TestSharedFramePlane:
-    def test_write_view_roundtrip(self):
-        plane = SharedFramePlane(slots=2, slot_bytes=4096)
-        try:
-            batch = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
-            slot = plane.acquire(batch.nbytes)
-            desc = plane.write(slot, batch)
-            assert desc.shape == (2, 3, 4)
-            assert desc.dtype == "float32"
-            assert desc.nbytes == batch.nbytes
-            view = plane.view(desc)
-            assert np.array_equal(view, batch)
-            # The view aliases the slab: a write through it is visible to a
-            # fresh view of the same descriptor (that is the zero-copy
-            # contract workers rely on).
-            view[0, 0, 0] = 99.0
-            assert plane.view(desc)[0, 0, 0] == 99.0
-            plane.release(slot)
-        finally:
-            plane.close()
-            plane.unlink()
-
-    def test_oversized_payload_rejected(self):
-        plane = SharedFramePlane(slots=1, slot_bytes=64)
-        try:
-            with pytest.raises(ValueError, match="exceeds slot size"):
-                plane.acquire(65)
-        finally:
-            plane.close()
-            plane.unlink()
-
-    def test_acquire_blocks_until_release(self):
-        plane = SharedFramePlane(slots=1, slot_bytes=64)
-        try:
-            slot = plane.acquire(8)
-            with pytest.raises(TimeoutError):
-                plane.acquire(8, timeout=0.05)
-            plane.release(slot)
-            assert plane.acquire(8, timeout=0.05) == slot
-        finally:
-            plane.close()
-            plane.unlink()
-
-    def test_worker_attach_sees_parent_writes(self):
-        plane = SharedFramePlane(slots=1, slot_bytes=256)
-        try:
-            batch = np.linspace(0, 1, 32, dtype=np.float32).reshape(4, 8)
-            desc = plane.write(plane.acquire(batch.nbytes), batch)
-            attached = SharedFramePlane.attach(plane.name)
-            try:
-                assert np.array_equal(attached.view(desc), batch)
-            finally:
-                attached.close()
-        finally:
-            plane.close()
-            plane.unlink()
+from repro.video import jackson, make_stream
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +205,23 @@ class TestFusedSNM:
 # ---------------------------------------------------------------------------
 # process pool
 # ---------------------------------------------------------------------------
+class FilledStream:
+    """The slice of ``VideoStream`` a pool worker reads: frame ``t`` is
+    filled with ``base + t``, so a batch's pixels name its frames."""
+
+    def __init__(self, base: float = 0.0, shape=(4, 4)):
+        self.base, self.shape = base, shape
+
+    def pixel_batch(self, ts, out):
+        out[...] = (self.base + np.asarray(ts, dtype=np.float32))[:, None, None]
+        return out
+
+
 def _threshold_evaluate(pixels, bundles, zoo, config):
-    """Per-frame bundle routing test logic: bundles are float thresholds."""
+    """Per-frame bundle routing test logic: bundles are float thresholds;
+    the frame means come back as ``info``."""
     means = pixels.mean(axis=(1, 2))
-    return means > np.asarray(bundles, dtype=np.float64), np.arange(len(pixels))
+    return means > np.asarray(bundles, dtype=np.float64), means
 
 
 def _sleepy_evaluate(pixels, bundles, zoo, config):
@@ -279,18 +231,24 @@ def _sleepy_evaluate(pixels, bundles, zoo, config):
 
 class TestProcPool:
     def test_results_match_inline(self):
-        bundles = [0.3, 0.5, 0.7]
-        pool = ProcPool(
-            "t", _threshold_evaluate, bundles, None, None, 2, slot_bytes=65536
-        )
+        streams = [FilledStream(100.0 * s, shape=(3 + s, 5)) for s in range(3)]
+        bundles = [104.5, 203.0, 311.0]
+        pool = ProcPool("t", _threshold_evaluate, streams, bundles, None, None, 2)
+        batches = [
+            ([0] * 6, list(range(2, 8))),
+            ([1] * 6, list(range(0, 12, 2))),
+            ([2] * 6, list(range(15, 9, -1))),
+            ([1] * 6, list(range(6))),
+        ]
         try:
-            rng = np.random.default_rng(0)
-            for si in (0, 1, 2, 1):
-                pixels = rng.random((6, 10, 12))
-                want, want_info = _threshold_evaluate(
-                    pixels, [bundles[si]] * 6, None, None
+            for sidx, ts in batches:
+                pixels = streams[sidx[0]].pixel_batch(
+                    ts, np.empty((len(ts), *streams[sidx[0]].shape), dtype=np.float32)
                 )
-                got, info, busy = pool.run_batch(pixels, [si] * 6, None)
+                want, want_info = _threshold_evaluate(
+                    pixels, [bundles[s] for s in sidx], None, None
+                )
+                got, info, busy = pool.run_batch(sidx, ts, None)
                 assert np.array_equal(got, want)
                 assert np.array_equal(info, want_info)
                 assert busy >= 0.0
@@ -301,15 +259,22 @@ class TestProcPool:
         assert stats.crashed_workers == 0
         assert sum(w["tasks"] for w in stats.per_worker.values()) == 4
 
+    def test_mixed_stream_batch_reads_each_run_from_its_stream(self):
+        streams = [FilledStream(100.0 * s) for s in range(3)]
+        pool = ProcPool("t", _threshold_evaluate, streams, [0.0] * 3, None, None, 1)
+        try:
+            sidx, ts = [0, 0, 2, 1, 1, 0], [5, 6, 7, 1, 9, 3]
+            _, info, _ = pool.run_batch(sidx, ts, None)
+        finally:
+            pool.shutdown()
+        assert info.tolist() == [100.0 * s + t for s, t in zip(sidx, ts)]
+
     def test_crashed_worker_requeues_inflight(self):
-        pool = ProcPool(
-            "t", _sleepy_evaluate, [0.0], None, None, 2, slot_bytes=65536
-        )
+        pool = ProcPool("t", _sleepy_evaluate, [FilledStream()], [0.0], None, None, 2)
         results = []
 
         def dispatch():
-            pixels = np.zeros((2, 4, 4))
-            results.append(pool.run_batch(pixels, [0, 0], None)[0])
+            results.append(pool.run_batch([0, 0], [0, 1], None)[0])
 
         try:
             threads = [threading.Thread(target=dispatch) for _ in range(2)]
@@ -327,21 +292,21 @@ class TestProcPool:
         assert len(results) == 2
         assert all(np.array_equal(r, [True, True]) for r in results)
         assert stats.crashed_workers == 1
-        assert stats.requeued_tasks >= 1
+        assert stats.requeued_tasks == 1
         assert stats.lost_tasks == 0
+        assert stats.tasks == 2
 
     def test_abort_returns_conservative_mask(self):
-        pool = ProcPool(
-            "t", _sleepy_evaluate, [0.0], None, None, 1, slot_bytes=65536
-        )
+        pool = ProcPool("t", _sleepy_evaluate, [FilledStream()], [0.0], None, None, 1)
         try:
             abort = threading.Event()
             abort.set()
-
-            # All slots free, so acquire succeeds; the future wait then sees
-            # the abort and gives the batch back as all-False immediately.
-            passes, info, busy = pool.run_batch(np.zeros((3, 4, 4)), [0, 0, 0], abort)
-            assert not passes.any()
+            # The future wait sees the abort and gives the batch back as
+            # all-False immediately, without waiting out the worker.
+            t0 = time.monotonic()
+            passes, info, busy = pool.run_batch([0, 0, 0], [0, 1, 2], abort)
+            assert time.monotonic() - t0 < 0.5
+            assert passes.tolist() == [False] * 3 and info is None and busy == 0.0
         finally:
             pool.shutdown()
 
@@ -351,8 +316,8 @@ class TestProcPool:
         # window counted them as crashed.  A short poll makes it land.
         monkeypatch.setattr("repro.runtime.procpool._POLL", 0.001)
         for _ in range(4):
-            pool = ProcPool("t", _threshold_evaluate, [0.5], None, None, 2, slot_bytes=4096)
-            pool.run_batch(np.zeros((2, 4, 4)), [0, 0], None)
+            pool = ProcPool("t", _threshold_evaluate, [FilledStream()], [0.5], None, None, 2)
+            pool.run_batch([0, 0], [0, 1], None)
             time.sleep(0.01)  # the monitor is mid-cycle, not just started
             stats = pool.shutdown()
             assert stats.crashed_workers == 0

@@ -174,7 +174,7 @@ class TestSourceWorkers:
         assert_all_queues_closed_and_empty(pipe)
 
     def test_detach_and_attach_partition_the_stream(self):
-        n, window = 1600, 3
+        n = 1600
         stream = CountingStream("s0", n)
         twin = CountingStream("s0", n)  # the receiving instance's view of it
         started = threading.Event()
@@ -197,18 +197,16 @@ class TestSourceWorkers:
         deadline = time.monotonic() + 10.0
         while not b._running and time.monotonic() < deadline:
             time.sleep(0.001)
-        preloaded = [np.full(twin.shape, boundary + k, dtype=np.float32) for k in range(window)]
-        b.attach_stream(twin, start=boundary, preloaded=preloaded)
+        b.attach_stream(twin, start=boundary)  # the boundary is all that crosses
         b.seal()
         for t in runs:
             t.join(timeout=30.0)
         assert not any(t.is_alive() for t in runs)
 
+        # Each side read exactly its own half of the stream, once.
         assert sorted(o.index for o in a.outcomes) == stream.rendered == list(range(boundary))
-        assert sorted(o.index for o in b.outcomes) == list(range(boundary, n))
-        # The hand-off window was served from the preloaded pixels, first.
-        assert twin.rendered == list(range(boundary + window, n))
-        assert batches(calls_b, "sdd")[0][:window] == list(range(boundary, boundary + window))
+        assert sorted(o.index for o in b.outcomes) == twin.rendered == list(range(boundary, n))
+        assert batches(calls_b, "sdd")[0][0] == boundary
         assert a.metrics.frames_offered == boundary
         assert b.metrics.frames_offered == n - boundary
         for p in (a, b):

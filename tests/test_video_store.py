@@ -2,8 +2,9 @@
 
 ``video/synth.py`` is the differential oracle.  Whatever mix of ``pixels``
 / ``pixel_batch`` / ``frame`` / ``iter_chunks`` touches a stream, in whatever
-order, on however many threads or forked children, the arrays that come back
-equal ``Renderer.render_pixels`` — and the store never costs more than its
+order, on however many threads or forked children (which share the file and
+its presence flags when forked after the first write), the arrays that come
+back equal ``Renderer.render_pixels`` — and the store never costs more than its
 cap on disk, a descriptor per touched stream while it lives, and nothing
 after.
 """
@@ -215,10 +216,54 @@ def test_forked_child_reads_and_extends_the_store(oracle):
         ok = ok and stream.stats()["frames_rendered"] == before["frames_rendered"] + N // 2
         os._exit(0 if ok else 1)
     assert os.waitpid(pid, 0)[1] == 0
-    # The child's bits are its own; the parent re-renders what it never read.
-    assert stream.stats() == before
+    # The child's counters are its own, but the file and its flags are shared:
+    # what the child stored, the parent reads back without rendering.
+    after = stream.stats()
+    assert after == {**before, "stored_bytes": N * FRAME_BYTES}
     for t in range(N):
         np.testing.assert_array_equal(stream.pixels(t), oracle[t])
+    assert stream.stats()["frames_rendered"] == before["frames_rendered"]
+
+
+def test_forked_child_reads_what_the_parent_stores_after_the_fork(oracle):
+    # A pool worker's case: the parent reads (and stores) frame T only after
+    # the child was forked; the child then reads T without rendering it.
+    T = N - 3
+    stream = small_stream()
+    stream.pixels(0)  # the file and its flags exist before the fork
+    ready_r, ready_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child's verdict is its exit status
+        os.close(ready_w)
+        os.read(ready_r, 1)  # the parent has stored frame T
+        rendered = stream.stats()["frames_rendered"]
+        ok = np.array_equal(stream.pixels(T), oracle[T])
+        ok = ok and stream.stats()["frames_rendered"] == rendered
+        os._exit(0 if ok else 1)
+    os.close(ready_r)
+    stream.pixels(T)
+    os.write(ready_w, b"x")
+    os.close(ready_w)
+    assert os.waitpid(pid, 0)[1] == 0
+
+
+def test_processes_forked_before_the_first_write_keep_their_own_store(oracle):
+    # No file exists at the fork, so each side creates its own file and flags:
+    # a flag set by one process can never point into the other's file.
+    stream = small_stream()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child's verdict is its exit status
+        ok = all(np.array_equal(stream.pixels(t), oracle[t]) for t in list(range(N)) * 2)
+        st = stream.stats()
+        ok = ok and st["frames_rendered"] == N and st["stored_bytes"] == N * FRAME_BYTES
+        os._exit(0 if ok else 1)
+    assert os.waitpid(pid, 0)[1] == 0  # the child stored every frame first
+    assert stream.stats()["stored_bytes"] == 0 and stream._clip._fd < 0
+    for _ in range(2):
+        for t in range(N):
+            np.testing.assert_array_equal(stream.pixels(t), oracle[t])
+    st = stream.stats()
+    assert st["frames_rendered"] == N and st["stored_bytes"] == N * FRAME_BYTES
 
 
 @pytest.mark.parametrize("clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy])
