@@ -1,8 +1,9 @@
-"""CI smoke test for the threaded engine's thread budget and stored source.
+"""CI smoke test for the threaded engine's thread budget, stored source and
+paced hold.
 
 Runs a 2-stream, 120-frame ``ThreadedPipeline`` on the default cascade twice,
-under a private empty ``TMPDIR``, and prints ``RunMetrics.extra["engine"]``
-and ``extra["source"]``.  Fails if
+under a private empty ``TMPDIR``, then once paced at 80 fps, and prints
+``RunMetrics.extra["engine"]`` and ``extra["source"]``.  Fails if
 
 * a run did not start exactly 2 SDD + 2 SNM + 1 T-YOLO + 1 reference = 6
   worker threads (a prefetch thread per stream came back),
@@ -11,7 +12,12 @@ and ``extra["source"]``.  Fails if
   would otherwise show up only as a silent loss of the measured gain,
 * the second run rendered any frame (every one was stored by the first), or
 * the stored clips left a name in the temp directory, or a descriptor open
-  once the streams are gone.
+  once the streams are gone, or
+* the paced run's SDD batches, bar each stream's tail, are not mostly
+  ``paced_hold(80, 16)`` frames or any is smaller (a loaded host may make a
+  late worker catch up with a larger one), ``extra["engine"]["paced_hold"]``
+  is missing, or an outcome's latency (timed from the frame's due time) is
+  negative.
 """
 
 import gc
@@ -23,8 +29,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import FFSVAConfig  # noqa: E402
+from repro.core.batching import paced_hold  # noqa: E402
 from repro.models import ModelZoo  # noqa: E402
 from repro.nn import TrainConfig  # noqa: E402
+from repro.obs import Telemetry  # noqa: E402
 from repro.runtime import ThreadedPipeline  # noqa: E402
 from repro.video import jackson, make_stream  # noqa: E402
 
@@ -51,8 +59,33 @@ def run_twice(tmp: str) -> dict:
         assert len(pipe.outcomes) == m.frames_offered == source["frames_read"] == 240
         assert engine["worker_threads"] == 6, f"expected 6 engine workers, got {engine}"
     assert source["frames_rendered"] == 0, f"second run re-rendered stored frames: {source}"
+    paced_run(streams, zoo)
     assert os.listdir(tmp) == [], f"stored clips left names behind: {os.listdir(tmp)}"
     return engine
+
+
+def paced_run(streams, zoo, fps: float = 80.0) -> None:
+    """One online run: the first stage serves ``paced_hold`` frames a batch."""
+    tel = Telemetry()
+    pipe = ThreadedPipeline(streams, zoo, FFSVAConfig(), telemetry=tel)
+    m = pipe.run(n_frames=120, online=True, paced_fps=fps)
+    engine, hold = m.extra["engine"], paced_hold(fps, 16)
+    print(f"paced run: engine {engine}")
+    assert engine.get("paced_hold") == hold, f"expected paced_hold {hold}: {engine}"
+    sizes: dict[int, list[int]] = {}
+    for ev in tel.bus.events():
+        if ev.kind == "batch_exec" and ev.stage == "sdd":
+            sizes.setdefault(ev.stream, []).append(ev.n)
+    assert len(sizes) == 2 and sum(map(sum, sizes.values())) == 240, sizes
+    for stream, batch in sizes.items():
+        # A worker that fell behind catches up with every due frame, so a
+        # batch may exceed the hold on a loaded host; none may fall short.
+        body = batch[:-1]
+        assert min(body) >= hold and body.count(hold) > len(body) // 2, (
+            f"stream {stream} SDD batches {batch}, hold {hold}"
+        )
+    negative = [o for o in pipe.outcomes if o.latency < 0]
+    assert len(pipe.outcomes) == 240 and not negative, f"negative latencies: {negative[:3]}"
 
 
 def main() -> int:

@@ -16,13 +16,31 @@ The paper compares three mechanisms on the SNM stage:
 
 The decision logic is a pure function over observable queue state so the
 threaded runtime and the discrete-event simulator share it exactly.
+
+A paced source adds one input the queue state does not have: the latency
+objective.  :func:`paced_hold` spends half of it on the first stage's batch
+size (DESIGN.md §22); only the threaded runtime's pulling first stage uses it.
 """
 
 from __future__ import annotations
 
+import math
+
 from .config import FFSVAConfig
 
-__all__ = ["batch_floor", "decide_batch", "decide_fused_batch", "fused_pop_order", "batch_wait_bound"]
+__all__ = [
+    "LATENCY_OBJECTIVE",
+    "batch_floor",
+    "decide_batch",
+    "decide_fused_batch",
+    "fused_pop_order",
+    "batch_wait_bound",
+    "paced_hold",
+]
+
+#: Seconds from capture to a frame's final disposition that an online run
+#: promises (the benchmark's ``online-paced`` objective).
+LATENCY_OBJECTIVE = 0.100
 
 
 def batch_floor(policy: str, batch_size: int, queue_depth: int | None) -> int:
@@ -38,6 +56,18 @@ def batch_floor(policy: str, batch_size: int, queue_depth: int | None) -> int:
         # depth: the effective batch target is capped by the threshold.
         return batch_size if queue_depth is None else min(batch_size, queue_depth)
     raise ValueError(f"unknown batch policy {policy!r}")
+
+
+def paced_hold(fps: float, cap: int) -> int:
+    """Frames a paced first stage lets come due before it serves them.
+
+    The oldest frame of a batch waits at most half of
+    :data:`LATENCY_OBJECTIVE` for the rest to arrive; the cascade behind
+    it keeps the other half.  ``cap`` is the batch the stage would take
+    anyway, and the hold never exceeds it nor drops below one frame: 5 at
+    80 fps, 2 at 30 fps, the cap of 16 from 300 fps on.
+    """
+    return max(1, min(cap, 1 + math.floor(fps * LATENCY_OBJECTIVE / 2)))
 
 
 def decide_batch(

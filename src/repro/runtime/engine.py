@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core.batching import batch_floor, decide_fused_batch, fused_pop_order
+from ..core.batching import batch_floor, decide_fused_batch, fused_pop_order, paced_hold
 from ..core.config import FFSVAConfig
 from ..core.kernel import CascadeKernel, StreamInfo
 from ..core.metrics import LatencyStats, RunMetrics
@@ -59,6 +59,7 @@ from ..devices.placement import Placement, ffs_va_placement
 from ..models.zoo import ModelZoo
 from ..obs import Telemetry
 from .blas import blas_thread_cap
+from .heap import trim_heap
 from .procpool import ProcPool
 from ..video.stream import VideoStream
 
@@ -76,7 +77,9 @@ class FrameOutcome:
     #: while the frame was still in flight.
     stage: str
     ref_count: int | None  # terminal-stage object count (analyzed frames only)
-    latency: float  # seconds from prefetch to final disposition
+    #: Seconds to the final disposition: from capture (the frame's due time)
+    #: when paced, from prefetch offline.
+    latency: float
 
 
 class _Work(NamedTuple):
@@ -141,31 +144,37 @@ class _Feed:
 
     def pop_batch(self, max_n: int, min_n: int = 1, timeout: float | None = None) -> list:
         """Render the next chunk (and admit it, when the first stage itself
-        pulls).  Offline that is ``max_n`` frames, or what is left, at once; a
-        paced source waits — ``timeout`` at most, then ``[]`` — until ``min_n``
-        frames are due and returns every due frame, so none is held back to
-        fill a chunk."""
+        pulls).  Offline that is ``max_n`` frames, or what is left, at once.
+        A paced source waits — ``timeout`` at most, then ``[]`` — until
+        ``max(min_n, paced_hold(fps, max_n))`` frames are due (the stream's
+        remainder at its end) and returns every due frame up to ``max_n``;
+        each frame's clock then starts at its due time, not at the pop."""
         pipe, j = self.pipe, self.offered
         n = min(max_n, len(self))
         fps = pipe._paced_fps
         if fps is not None and n:
             t0 = self.t0 = self.t0 or time.monotonic()
-            min_n = min(min_n, n)
+            min_n = min(max(min_n, paced_hold(fps, max_n)), n)
             wait = t0 + (j + min_n - 1) / fps - time.monotonic()
-            if wait > 0:
-                time.sleep(wait if timeout is None else min(wait, timeout))
+            # Waits on ``stop`` so a detach mid-hold returns at once.
+            if wait > 0 and self.stop.wait(wait if timeout is None else min(wait, timeout)):
+                return []
             due = int((time.monotonic() - t0) * fps) + 1 - j
             n = min(n, due) if due >= min_n else 0
         stream = pipe.ctxs[self.slot].stream
         works = [
-            _Work(self.slot, i, stream.pixels(i), time.monotonic())
+            _Work(
+                self.slot, i, stream.pixels(i),
+                time.monotonic() if fps is None else t0 + (i - self.start) / fps,
+            )
             for i in range(self.start + j, self.start + j + n)
         ]
         self.offered = j + n
         if works and pipe._pull and pipe.telemetry is not None:
             now, first = pipe._now(), pipe.graph.first.name
             for w in works:
-                pipe.kernel.entered(first, w.stream_idx, w.index, now, admitted=True)
+                t = now if fps is None else w.t_start - pipe._t0
+                pipe.kernel.entered(first, w.stream_idx, w.index, t, admitted=True)
         return works
 
 
@@ -338,13 +347,16 @@ class ThreadedPipeline:
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
-    def _record(self, work: _Work, stage: str, ref_count=None) -> None:
+    def _record(self, work: _Work, stage: str, ref_count=None, t_done: float | None = None) -> None:
+        """``work``'s journey ended at ``stage``: when its batch completed at
+        ``t_done`` (run clock) if a stage disposed of it, now otherwise."""
+        t_end = time.monotonic() if t_done is None else self._t0 + t_done
         outcome = FrameOutcome(
             stream_id=self.ctxs[work.stream_idx].stream.stream_id,
             index=work.index,
             stage=stage,
             ref_count=ref_count,
-            latency=time.monotonic() - work.t_start,
+            latency=t_end - work.t_start,
         )
         with self._outcome_lock:
             self.outcomes.append(outcome)
@@ -568,7 +580,7 @@ class ThreadedPipeline:
             for i, work in enumerate(works):
                 if spec.terminal:
                     detail = None if info is None else int(info[i])
-                    self._record(work, spec.name, ref_count=detail)
+                    self._record(work, spec.name, ref_count=detail, t_done=t_done)
                 elif passes[i]:
                     tgt = kernel.target(spec, work.stream_idx, work.index)
                     status = self._put(tgt, self._input_queue(tgt, work.stream_idx), work)
@@ -579,7 +591,7 @@ class ThreadedPipeline:
                     if status == "dropped":
                         self._record(work, DROPPED)
                 else:
-                    self._record(work, spec.name)
+                    self._record(work, spec.name, t_done=t_done)
                 done = i + 1
             return True
         except BaseException:
@@ -862,14 +874,18 @@ class ThreadedPipeline:
     ) -> RunMetrics:
         """Process every stream to completion and return metrics.
 
-        ``online=True`` paces each prefetcher at ``paced_fps`` (default the
-        config's ``stream_fps``); offline mode renders as fast as possible.
+        ``online=True`` paces each source at ``paced_fps`` (default the
+        config's ``stream_fps``): a pulling first stage waits for
+        ``paced_hold`` due frames per batch, and every latency is timed from
+        the frame's due time.  Offline mode renders as fast as possible.
         """
         if self._ran:
             # Queues stay closed after a run: a second one would drop every
             # frame at the first put and still return normally.
             raise RuntimeError("ThreadedPipeline.run() is single-use")
         self._ran = True
+        # The heap earlier work freed is not this run's footprint.
+        trim_heap()
         self._paced_fps = (paced_fps or self.config.stream_fps) if online else None
         for i, ctx in enumerate(self.ctxs):
             if ctx.stream is not None:
@@ -970,6 +986,10 @@ class ThreadedPipeline:
         m.ref_latency = LatencyStats.from_samples(ref_lat)
         m.frame_latency = LatencyStats.from_samples([o.latency for o in self.outcomes])
         m.extra["engine"] = {"worker_threads": len(threads), **blas}
+        if self._paced_fps is not None:
+            # A pooled first stage's prefetcher pops one frame at a time.
+            cap = self._batch_bounds(self.graph.first)[0] if self._pull else 1
+            m.extra["engine"]["paced_hold"] = paced_hold(self._paced_fps, cap)
         # What this run's sources read, and how much of it had to be rendered
         # rather than read back from the stored clip (video/clipstore.py).
         feeds = [f for f in self._feeds if f is not None]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batching import batch_wait_bound, decide_batch
+from repro.core.batching import LATENCY_OBJECTIVE, batch_wait_bound, decide_batch, paced_hold
 from repro.core.config import FFSVAConfig
 
 
@@ -138,3 +138,29 @@ class TestBatchWaitBound:
     def test_rejects_bad_fps(self):
         with pytest.raises(ValueError):
             batch_wait_bound(FFSVAConfig(), 0.0)
+
+
+class TestPacedHold:
+    @pytest.mark.parametrize("fps, hold", [(30.0, 2), (40.0, 3), (80.0, 5), (300.0, 16)])
+    def test_values_at_the_documented_rates(self, fps, hold):
+        assert paced_hold(fps, 16) == hold
+
+    def test_oldest_frame_waits_at_most_half_the_objective(self):
+        for fps in (10.0, 30.0, 40.0, 80.0, 120.0):
+            assert (paced_hold(fps, 64) - 1) / fps <= LATENCY_OBJECTIVE / 2
+
+    def test_capped_by_the_batch_the_stage_would_take(self):
+        assert paced_hold(600.0, 16) == 16
+        assert paced_hold(80.0, 3) == 3
+        assert paced_hold(80.0, 1) == 1  # a frame-at-a-time caller never holds
+
+    def test_floor_of_one_frame(self):
+        assert paced_hold(1.0, 16) == 1
+        assert paced_hold(19.0, 16) == 1
+        assert paced_hold(0.0, 16) == 1
+        assert paced_hold(80.0, 0) == 1
+
+    @given(fps=st.floats(0.0, 2000.0), step=st.floats(0.0, 500.0), cap=st.integers(1, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_property_monotone_in_fps(self, fps, step, cap):
+        assert 1 <= paced_hold(fps, cap) <= paced_hold(fps + step, cap) <= cap

@@ -1,10 +1,12 @@
 """Source workers and the BLAS cap (DESIGN.md §18).
 
 A ``per_stream`` first stage pulls its own stream in batch-sized chunks —
-no prefetch thread, no first-stage queue — and OpenBLAS helpers are capped
-while ``run()`` lasts.  Everything here is counted through the
-``StageLogic`` seam on stub streams whose frame ``t`` is filled with ``t``:
-no training, and every verdict is a function of the frame index.
+no prefetch thread, no first-stage queue; paced, it lets ``paced_hold``
+frames come due per chunk and times each frame from its due time (§22) —
+and OpenBLAS helpers are capped while ``run()`` lasts.  Everything here is
+counted through the ``StageLogic`` seam on stub streams whose frame ``t``
+is filled with ``t``: no training, and every verdict is a function of the
+frame index.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import FFSVAConfig
+from repro.core.batching import paced_hold
 from repro.core.pipeline import ABORTED, CASCADES, StageGraph, StageLogic
 from repro.runtime import ThreadedPipeline
 from repro.runtime.blas import _openblas_libs, blas_thread_cap
@@ -27,13 +30,14 @@ KEEP = {"sdd": 2, "snm": 4, "tyolo": 8}
 
 class CountingStream:
     """The slice of ``VideoStream`` the engine uses; remembers what was
-    rendered, and by which thread."""
+    rendered, when, and by which thread."""
 
     kind, fps, shape = "car", 30.0, (4, 4)
 
     def __init__(self, stream_id: str, n: int):
         self.stream_id, self.n = stream_id, n
         self.rendered: list[int] = []
+        self.popped: list[float] = []  # time.monotonic() of each render
         self.threads: set = set()
 
     def __len__(self) -> int:
@@ -41,6 +45,7 @@ class CountingStream:
 
     def pixels(self, t: int) -> np.ndarray:
         self.rendered.append(t)
+        self.popped.append(time.monotonic())
         self.threads.add(threading.current_thread())
         return np.full(self.shape, t, dtype=np.float32)
 
@@ -103,15 +108,57 @@ class TestSourceWorkers:
         m.check_conservation()
 
     def test_paced_source_never_holds_a_due_frame_back(self):
-        stream = CountingStream("s0", 60)
+        n, fps = 24, 16.0  # below 20 fps the hold is a single frame
+        assert paced_hold(fps, 16) == 1
+        stream = CountingStream("s0", n)
         graph, calls = probe_graph()
         pipe = ThreadedPipeline([stream], zoo_for([stream]), FFSVAConfig(), graph=graph)
-        m = pipe.run(online=True, paced_fps=40)
+        m = pipe.run(online=True, paced_fps=fps)
         sizes = [len(f) for f in batches(calls, "sdd")]
-        assert sum(sizes) == 60
-        assert 60 / len(sizes) <= 1.2
-        assert m.duration >= 59 / 40  # the last frame was not offered early
-        assert len(pipe.outcomes) == 60
+        assert sum(sizes) == n
+        assert n / len(sizes) <= 1.2
+        assert m.duration >= (n - 1) / fps  # the last frame was not offered early
+        assert len(pipe.outcomes) == n
+
+    def test_paced_source_holds_until_its_batch_is_due(self):
+        n, fps = 62, 40.0
+        stream = CountingStream("s0", n)
+        graph, calls = probe_graph()
+        pipe = ThreadedPipeline([stream], zoo_for([stream]), FFSVAConfig(), graph=graph)
+        m = pipe.run(online=True, paced_fps=fps)
+        k = paced_hold(fps, 16)
+        q, tail = divmod(n, k)
+        assert (k, tail) == (3, 2)
+        assert [len(f) for f in batches(calls, "sdd")] == [k] * q + [tail]
+        assert m.extra["engine"]["paced_hold"] == k
+        t0 = pipe._feeds[0].t0  # frame i is due at t0 + i / fps
+        assert stream.rendered == list(range(n))
+        assert all(t >= t0 + i / fps for i, t in enumerate(stream.popped))
+        assert m.duration >= (n - 1) / fps  # the last frame was not offered early
+        assert len(pipe.outcomes) == n
+
+    def test_paced_latency_runs_from_the_due_time(self):
+        n, fps = 40, 40.0
+        stream = CountingStream("s0", n)
+        stall: list[float] = []
+
+        def hook(stage, frames):
+            if stage == "sdd" and not stall:
+                t = time.monotonic()
+                time.sleep(0.06)
+                stall.extend([t, time.monotonic()])
+
+        graph, _ = probe_graph(hook=hook)
+        pipe = ThreadedPipeline([stream], zoo_for([stream]), FFSVAConfig(), graph=graph)
+        pipe.run(online=True, paced_fps=fps)
+        t0 = pipe._feeds[0].t0
+        latency = {o.index: o.latency for o in pipe.outcomes}
+        came_due = [i for i in range(n) if stall[0] <= t0 + i / fps <= stall[1]]
+        assert came_due
+        for i in came_due:
+            # Popped late because the worker was stalled: that wait counts.
+            waited = stream.popped[i] - (t0 + i / fps)
+            assert waited > 0 and latency[i] >= waited
 
     def test_static_policy_fills_every_first_stage_batch(self):
         stream = CountingStream("s0", 100)
@@ -204,6 +251,48 @@ class TestSourceWorkers:
         assert not any(t.is_alive() for t in runs)
 
         # Each side read exactly its own half of the stream, once.
+        assert sorted(o.index for o in a.outcomes) == stream.rendered == list(range(boundary))
+        assert sorted(o.index for o in b.outcomes) == twin.rendered == list(range(boundary, n))
+        assert batches(calls_b, "sdd")[0][0] == boundary
+        assert a.metrics.frames_offered == boundary
+        assert b.metrics.frames_offered == n - boundary
+        for p in (a, b):
+            assert_all_queues_closed_and_empty(p)
+
+    def test_detach_mid_hold_partitions_the_stream(self):
+        n, fps = 400, 40.0  # 10 s of stream: the detach comes long before its end
+        k = paced_hold(fps, 16)
+        stream = CountingStream("s0", n)
+        twin = CountingStream("s0", n)
+        served = threading.Event()
+
+        def hook(stage, frames):
+            if stage == "sdd" and frames[0] >= k:
+                served.set()
+
+        graph_a, _ = probe_graph(hook=hook)
+        graph_b, calls_b = probe_graph()
+        a = ThreadedPipeline([stream], zoo_for([stream]), FFSVAConfig(), graph=graph_a)
+        b = ThreadedPipeline([], zoo_for([twin]), FFSVAConfig(), graph=graph_b, reserve_slots=1)
+        runs = [
+            threading.Thread(target=a.run, kwargs={"online": True, "paced_fps": fps}, daemon=True),
+            threading.Thread(target=b.run, daemon=True),
+        ]
+        for t in runs:
+            t.start()
+        assert served.wait(10.0)
+        time.sleep(1 / fps)  # well inside the next hold of k / fps
+        boundary = a.detach_stream(0)
+        assert 2 * k <= boundary < n
+        deadline = time.monotonic() + 10.0
+        while not b._running and time.monotonic() < deadline:
+            time.sleep(0.001)
+        b.attach_stream(twin, start=boundary)
+        b.seal()
+        for t in runs:
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in runs)
+
         assert sorted(o.index for o in a.outcomes) == stream.rendered == list(range(boundary))
         assert sorted(o.index for o in b.outcomes) == twin.rendered == list(range(boundary, n))
         assert batches(calls_b, "sdd")[0][0] == boundary
