@@ -1,5 +1,5 @@
-"""CI smoke test for the threaded engine's thread budget, stored source and
-paced hold.
+"""CI smoke test for the threaded engine's thread budget, stored source,
+reference batching and paced hold.
 
 Runs a 2-stream, 120-frame ``ThreadedPipeline`` on the default cascade twice,
 under a private empty ``TMPDIR``, then once paced at 80 fps, and prints
@@ -10,6 +10,8 @@ under a private empty ``TMPDIR``, then once paced at 80 fps, and prints
 * an OpenBLAS is mapped into the process but ``runtime/blas.py`` capped no
   library — a numpy/scipy build whose symbol spelling the cap does not know
   would otherwise show up only as a silent loss of the measured gain,
+* the offline runs' reference batches are all singletons (the reference
+  stage takes what its queue holds, up to ``ref_spec().batch.size``),
 * the second run rendered any frame (every one was stored by the first), or
 * the stored clips left a name in the temp directory, or a descriptor open
   once the streams are gone, or
@@ -51,14 +53,19 @@ def run_twice(tmp: str) -> dict:
         zoo.train_for_stream(
             s, n_train_frames=120, stride=2, train_config=TrainConfig(epochs=4, batch_size=32, seed=5)
         )
+    ref_batches = []
     for attempt in ("first", "second"):
-        pipe = ThreadedPipeline(streams, zoo, FFSVAConfig())
+        tel = Telemetry()
+        pipe = ThreadedPipeline(streams, zoo, FFSVAConfig(), telemetry=tel)
         m = pipe.run(n_frames=120)
         engine, source = m.extra["engine"], m.extra["source"]
         print(f"{attempt} run: engine {engine}, source {source}")
         assert len(pipe.outcomes) == m.frames_offered == source["frames_read"] == 240
         assert engine["worker_threads"] == 6, f"expected 6 engine workers, got {engine}"
+        ref_batches += [ev.n for ev in tel.bus.events() if ev.kind == "batch_exec" and ev.stage == "ref"]
     assert source["frames_rendered"] == 0, f"second run re-rendered stored frames: {source}"
+    print(f"offline reference batches: {len(ref_batches)} for {sum(ref_batches)} frames")
+    assert max(ref_batches) > 1, f"every offline reference batch was one frame: {ref_batches}"
     paced_run(streams, zoo)
     assert os.listdir(tmp) == [], f"stored clips left names behind: {os.listdir(tmp)}"
     return engine

@@ -183,10 +183,10 @@ def batch_wait_bound(
     """Worst-case batch-formation wait (seconds) under the given config.
 
     For static/feedback policies a frame may wait for the rest of its batch
-    to arrive; dynamic batching never waits once a frame is queued.  Used by
-    capacity planning and asserted by the latency benchmarks.  ``stage``
-    names the config-batched stage whose queue threshold caps feedback
-    batches; it defaults to the paper's SNM.
+    to arrive; dynamic batching never waits once a frame is queued.  Neither
+    runtime nor the planner calls it; the tests pin the policies' wait
+    arithmetic with it.  ``stage`` names the config-batched stage whose
+    queue threshold caps feedback batches; it defaults to the paper's SNM.
     """
     if input_fps <= 0:
         raise ValueError("input_fps must be positive")

@@ -45,8 +45,8 @@ class FFSVAConfig:
     batch_size: int = 10
 
     # Queue depth thresholds, in frames, keyed by the queue's consumer stage.
-    # An absent "ref" bound in the paper is interpreted as a small multiple
-    # of the reference batch.
+    # The paper gives no "ref" bound; this one applies only with
+    # ref_overflow_to_storage off, where it also caps the reference batch.
     queue_depths: dict = field(
         default_factory=lambda: {s: d for s, d in zip(STAGES, (2, 10, 2, 4))}
     )

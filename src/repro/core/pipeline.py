@@ -89,6 +89,7 @@ __all__ = [
     "arbitration_batch",
     "stage_service_time",
     "stage_per_frame_time",
+    "call_batch",
 ]
 
 # ----------------------------------------------------------------------
@@ -131,8 +132,8 @@ _BATCH_KINDS = ("fixed", "config", "rr_cap")
 class BatchRule:
     """How a stage forms batches from its input queue(s).
 
-    * ``fixed`` — always take up to ``size`` frames (SDD event batching,
-      the one-frame reference batches).
+    * ``fixed`` — take up to ``size`` frames, never waiting for more (SDD
+      event batching, the reference stage's backlog).
     * ``config`` — apply the configured static/feedback/dynamic policy via
       :func:`repro.core.batching.decide_batch` with ``config.batch_size``
       (the SNM batch mechanism of Section 4.3.2).
@@ -367,8 +368,18 @@ def stage_service_time(
 
 
 def stage_per_frame_time(spec: StageSpec, costs, batch_size: int) -> float:
-    """Amortized per-frame service time at the given batch size."""
+    """Amortized per-frame service time at the given batch size, as the
+    cost model's calls carry it (:func:`call_batch`)."""
+    batch_size = call_batch(spec, costs, batch_size)
     return stage_service_time(spec, costs, batch_size) / batch_size
+
+
+def call_batch(spec: StageSpec, costs, batch_size: int) -> int:
+    """``batch_size`` capped at the frames one call at ``spec`` carries
+    under the cost model (one for the paper's reference model); a stage
+    with its own ``cost`` pair has no cap."""
+    cap = None if spec.cost is not None else costs.frames_per_call(spec.name)
+    return batch_size if cap is None else min(batch_size, cap)
 
 
 # ----------------------------------------------------------------------
@@ -478,17 +489,20 @@ def _tyolo_mask(trace, config):
 
 
 def _ref_evaluate(pixels, bundles, zoo, config):
-    # A merged batch interleaves streams: one detector call per run of
-    # consecutive frames that share a bundle (and so a background).
+    # A merged batch interleaves streams: one detector call per stream (its
+    # frames share a bundle, and so a background).  A stream whose frames
+    # are one run is served from a view of the batch; only scattered frames
+    # are gathered (the threaded engine hands the stage stream-sorted runs).
     n = len(pixels)
     counts = np.empty(n, dtype=np.int64)
-    start = 0
-    for stop in range(1, n + 1):
-        if stop == n or bundles[stop] is not bundles[start]:
-            counts[start:stop] = zoo.reference.count_batch(
-                pixels[start:stop], bundles[start].background
-            )
-            start = stop
+    rows: dict[int, list[int]] = {}
+    for i, bundle in enumerate(bundles):
+        rows.setdefault(id(bundle), []).append(i)
+    for sel in rows.values():
+        first, last = sel[0], sel[-1]
+        if last - first + 1 == len(sel):
+            sel = slice(first, last + 1)
+        counts[sel] = zoo.reference.count_batch(pixels[sel], bundles[first].background)
     return np.ones(n, dtype=bool), counts
 
 
@@ -529,13 +543,19 @@ def tyolo_spec() -> StageSpec:
     )
 
 
+#: Most frames the reference stage takes from its queue at once; it never
+#: waits for more.  The detector's cost per frame bottoms out at 4-8 frames
+#: a call and climbs again past 16 (DESIGN.md section 23).
+REF_BATCH = 8
+
+
 def ref_spec() -> StageSpec:
     """The full-feature reference model, merged onto its own GPU."""
     return StageSpec(
         name=REF,
         device="gpu1",
         fan_in=MERGED,
-        batch=BatchRule("fixed", 1),
+        batch=BatchRule("fixed", REF_BATCH),
         logic=StageLogic(_ref_evaluate, _all_pass_mask),
         terminal=True,
     )

@@ -178,6 +178,10 @@ class GridDetector:
         self._bg_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
         self._resized: np.ndarray | None = None  # steady-state resize buffer
 
+    def release(self) -> None:
+        """Drop the batch-sized resize buffer; it re-grows on first use."""
+        self._resized = None
+
     # ------------------------------------------------------------------
     def _resized_background(
         self, background: np.ndarray
@@ -213,11 +217,12 @@ class GridDetector:
         if plan.identity:
             resized = batch
         else:
-            buf = self._resized
-            shape = (batch.shape[0], res, res)
-            if buf is None or buf.shape != shape:
-                buf = self._resized = np.empty(shape, dtype=np.float32)
-            resized = plan.apply(batch, out=buf)
+            # Grown to the largest batch seen and sliced: batch sizes vary
+            # from call to call, and a buffer per size would churn the heap.
+            n, buf = batch.shape[0], self._resized
+            if buf is None or len(buf) < n:
+                buf = self._resized = np.empty((n, res, res), dtype=np.float32)
+            resized = plan.apply(batch, out=buf[:n])
         _, bg, bg_med = self._resized_background(background)
         # Global multiplicative lighting correction per frame.
         gain = (frame_median(resized) / bg_med)[:, None, None].astype(np.float32)

@@ -108,6 +108,9 @@ class ModelZoo:
         frames = stream.pixel_batch(ts)
         background = stream.reference_image()
         labels = self.reference.label_frames(frames, background)
+        # The label pass grew the detector's buffer to a bulk chunk (11 MB);
+        # the pipeline's reference batches are a few frames.
+        self.reference.detector.release()
 
         sdd = calibrate_sdd(
             background, frames, labels, fn_budget=sdd_fn_budget

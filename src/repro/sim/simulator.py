@@ -59,6 +59,7 @@ from ..core.pipeline import (
     StageGraph,
     StageSpec,
     arbitration_batch,
+    call_batch,
     stage_per_frame_time,
     stage_service_time,
 )
@@ -147,6 +148,9 @@ class _SimStage:
     batch_events: int = 0
     queued: int = 0  # frames in the input queue(s), kept by en/dequeue
     floor: int = 1  # fewest queued frames any batch here waits for (batch_floor)
+    #: ``fixed`` rule only: the most frames a batch takes, as the cost
+    #: model's calls carry them (one at the paper's reference; ``call_batch``).
+    take: int = 1
     #: ``per_stream`` / ``shared_rr`` only — sorted stream indices whose
     #: queue a worker could take a batch from (see ``_refresh``).
     startable: list = field(default_factory=list)
@@ -231,6 +235,7 @@ class PipelineSimulator:
         for pos, spec in enumerate(self.graph):
             arb = stage_per_frame_time(spec, self.costs, arbitration_batch(spec, self.config))
             stg = self._stages[spec.name] = _SimStage(spec, pos, arb, passes=[])
+            stg.take = call_batch(spec, self.costs, spec.batch.size)
             if spec.mosaic:
                 stg.regions = []
                 stg.mosaic_stats = k.mosaic[spec.name] = MosaicStats()
@@ -494,7 +499,7 @@ class PipelineSimulator:
                 self._upstream_drained(spec, i) for i in feeders
             )
             return decide_batch(cfg.batch_policy, n, size, q.depth, eof=eof)
-        return min(n, rule.size)
+        return min(n, self._stages[spec.name].take)
 
     def _begin(
         self,
