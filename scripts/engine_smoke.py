@@ -2,11 +2,14 @@
 reference batching and paced hold.
 
 Runs a 2-stream, 120-frame ``ThreadedPipeline`` on the default cascade twice,
-under a private empty ``TMPDIR``, then once paced at 80 fps, and prints
+under a private empty ``TMPDIR``, then once paced at 80 fps, then the same
+streams on the ``tyolo-only`` cascade offline and paced, and prints
 ``RunMetrics.extra["engine"]`` and ``extra["source"]``.  Fails if
 
-* a run did not start exactly 2 SDD + 2 SNM + 1 T-YOLO + 1 reference = 6
-  worker threads (a prefetch thread per stream came back),
+* a default-cascade run did not start exactly 2 SDD + 2 SNM + 1 T-YOLO +
+  1 reference = 6 worker threads, or a ``tyolo-only`` run exactly 1 T-YOLO
+  + 1 reference = 2 (a prefetch thread per stream came back: every first
+  stage pops its streams' feeds itself, one worker for all when it pools),
 * an OpenBLAS is mapped into the process but ``runtime/blas.py`` capped no
   library — a numpy/scipy build whose symbol spelling the cap does not know
   would otherwise show up only as a silent loss of the measured gain,
@@ -19,7 +22,9 @@ under a private empty ``TMPDIR``, then once paced at 80 fps, and prints
   ``paced_hold(80, 16)`` frames or any is smaller (a loaded host may make a
   late worker catch up with a larger one), ``extra["engine"]["paced_hold"]``
   is missing, or an outcome's latency (timed from the frame's due time) is
-  negative.
+  negative, or
+* the paced ``tyolo-only`` run does not report ``paced_hold(80,
+  num_t_yolo)``, the hold its pooled first stage pops per stream visit.
 """
 
 import gc
@@ -67,6 +72,7 @@ def run_twice(tmp: str) -> dict:
     print(f"offline reference batches: {len(ref_batches)} for {sum(ref_batches)} frames")
     assert max(ref_batches) > 1, f"every offline reference batch was one frame: {ref_batches}"
     paced_run(streams, zoo)
+    pooled_runs(streams, zoo)
     assert os.listdir(tmp) == [], f"stored clips left names behind: {os.listdir(tmp)}"
     return engine
 
@@ -93,6 +99,21 @@ def paced_run(streams, zoo, fps: float = 80.0) -> None:
         )
     negative = [o for o in pipe.outcomes if o.latency < 0]
     assert len(pipe.outcomes) == 240 and not negative, f"negative latencies: {negative[:3]}"
+
+
+def pooled_runs(streams, zoo, fps: float = 80.0) -> None:
+    """``tyolo-only``, whose first stage pools the streams: its one worker
+    pops both feeds, offline and paced."""
+    cfg = FFSVAConfig(cascade="tyolo-only")
+    for online in (False, True):
+        pipe = ThreadedPipeline(streams, zoo, cfg)
+        m = pipe.run(n_frames=120, online=online, paced_fps=fps if online else None)
+        engine = m.extra["engine"]
+        print(f"tyolo-only {'paced' if online else 'offline'} run: engine {engine}")
+        assert len(pipe.outcomes) == m.frames_offered == 240
+        assert engine["worker_threads"] == 2, f"expected 2 engine workers, got {engine}"
+    hold = paced_hold(fps, cfg.num_t_yolo)
+    assert engine.get("paced_hold") == hold, f"expected paced_hold {hold}: {engine}"
 
 
 def main() -> int:

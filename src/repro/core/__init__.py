@@ -1,7 +1,7 @@
 """FFS-VA core: the stage-graph control plane, configuration, queues,
 batching, traces, and metrics."""
 
-from .batching import batch_wait_bound, decide_batch
+from .batching import decide_batch
 from .config import FFSVAConfig
 from .metrics import (
     LatencyStats,
@@ -35,7 +35,6 @@ __all__ = [
     "cascade",
     "ffs_va_graph",
     "decide_batch",
-    "batch_wait_bound",
     "FeedbackQueue",
     "SimQueue",
     "QueueClosed",

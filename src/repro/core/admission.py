@@ -88,8 +88,8 @@ class AdmissionController:
             rate_stage = non_terminal[-1] if non_terminal else graph.terminal.name
         self.rate_stage = rate_stage
         self.rate_series = f"stage_fps[{rate_stage}]"
-        # Monitored queues: every stage except the first (its queue only
-        # back-pressures the prefetcher) and the terminal stage (whose
+        # Monitored queues: every stage except the first (it pops its
+        # streams' sources, not a queue) and the terminal stage (whose
         # overflow policy is handled separately).  Queue names arrive in the
         # runtimes' ``stage[i]`` / ``stage`` forms.
         self._monitored = {

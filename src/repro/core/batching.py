@@ -19,14 +19,12 @@ threaded runtime and the discrete-event simulator share it exactly.
 
 A paced source adds one input the queue state does not have: the latency
 objective.  :func:`paced_hold` spends half of it on the first stage's batch
-size (DESIGN.md §22); only the threaded runtime's pulling first stage uses it.
+size (DESIGN.md §22); only the threaded runtime's first stage uses it.
 """
 
 from __future__ import annotations
 
 import math
-
-from .config import FFSVAConfig
 
 __all__ = [
     "LATENCY_OBJECTIVE",
@@ -34,7 +32,6 @@ __all__ = [
     "decide_batch",
     "decide_fused_batch",
     "fused_pop_order",
-    "batch_wait_bound",
     "paced_hold",
 ]
 
@@ -175,26 +172,3 @@ def fused_pop_order(takes: list[int], start: int = 0) -> list[int]:
     """
     n = len(takes)
     return [(start + off) % n for off in range(n) if takes[(start + off) % n] > 0]
-
-
-def batch_wait_bound(
-    config: FFSVAConfig, input_fps: float, stage: str | None = None
-) -> float:
-    """Worst-case batch-formation wait (seconds) under the given config.
-
-    For static/feedback policies a frame may wait for the rest of its batch
-    to arrive; dynamic batching never waits once a frame is queued.  Neither
-    runtime nor the planner calls it; the tests pin the policies' wait
-    arithmetic with it.  ``stage`` names the config-batched stage whose
-    queue threshold caps feedback batches; it defaults to the paper's SNM.
-    """
-    if input_fps <= 0:
-        raise ValueError("input_fps must be positive")
-    if config.batch_policy == "dynamic":
-        return 0.0
-    target = config.batch_size
-    if config.batch_policy == "feedback":
-        if stage is None:
-            from .pipeline import SNM as stage  # noqa: N811 - default stage
-        target = min(target, config.queue_depth(stage))
-    return (target - 1) / input_fps

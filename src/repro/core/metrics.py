@@ -85,8 +85,8 @@ class RunMetrics:
     ref_latency: LatencyStats = field(default_factory=LatencyStats)
     #: Latency over all ingested frames (to wherever each frame's journey
     #: ended: the stage that filtered it, or the reference model).  The
-    #: threaded runtime times it from capture when paced, from prefetch
-    #: offline.
+    #: threaded runtime times it from capture when paced, from the first
+    #: stage's pop offline.
     frame_latency: LatencyStats = field(default_factory=LatencyStats)
     device_utilization: dict[str, float] = field(default_factory=dict)
     queue_high_water: dict[str, int] = field(default_factory=dict)

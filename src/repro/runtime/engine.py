@@ -8,11 +8,13 @@ global feedback mechanism.
 
 The cascade topology is not hard-coded here: workers and queues are
 constructed from a :class:`~repro.core.pipeline.StageGraph` (the shared
-control plane, by default the config's cascade).  Per stream there is one
-worker per ``per_stream`` stage — the first of them pulls its own source,
-other first stages are fed by a prefetcher; each ``shared_rr`` stage gets a
-single worker that round-robins over the per-stream queues, and each
-``merged`` stage a single worker draining one merged queue.
+control plane, by default the config's cascade).  The first stage pops its
+streams' sources (``_Feed``) the way later stages pop their queues: one
+worker per stream when it is ``per_stream``, one worker over every stream's
+feed otherwise.  Each later ``per_stream`` stage has one worker per stream,
+each ``shared_rr`` stage a single worker that round-robins over the
+per-stream queues, and each ``merged`` stage a single worker draining one
+merged queue.
 
 Device placement is honoured with locks: stages hosted on a GPU acquire
 that device's lock around inference (SNM and T-YOLO share ``gpu0`` in the
@@ -78,7 +80,7 @@ class FrameOutcome:
     stage: str
     ref_count: int | None  # terminal-stage object count (analyzed frames only)
     #: Seconds to the final disposition: from capture (the frame's due time)
-    #: when paced, from prefetch offline.
+    #: when paced, from the first stage's pop offline.
     latency: float
 
 
@@ -100,77 +102,108 @@ class _StreamCtx:
 
 @dataclass
 class _Feed:
-    """One stream slot's source: the frame range it offers, and — when the
-    first stage is ``per_stream`` — that stage's input queue.
+    """One stream slot's source, which the first stage pops like a queue.
 
-    ``start``/``count`` bound the frame range this slot offers (global
-    stream indices ``[start, start + count)``); ``offered`` counts frames
-    that actually received a disposition path (admitted, dropped, or
-    aborted).  Setting ``stop`` asks the source to halt at the next frame
-    boundary; ``boundary`` is set once its thread has left its loop, at
-    which point ``start + offered`` is the exact handoff index — no frame
-    before it can ever be offered elsewhere, no frame at or after it was
-    offered here.
+    It offers global stream frames ``[start, start + count)`` once
+    :meth:`open` is called: at ``run()`` for the pipeline's own streams, at
+    ``attach_stream`` for a reserve slot, whose feed waits open and empty
+    until then (``seal`` opens an unused one on an empty range).  ``offered``
+    counts the frames popped.  Setting ``stop`` (a detach) ends the feed
+    between chunks; ``start + offered``, read under ``lock``, is then the
+    exact handoff index: every frame before it was offered here, none after.
 
-    ``pop_batch``/``closed``/``len`` are the consumer half of
-    :class:`FeedbackQueue`'s contract: the first queue never fed back on
-    anything (``core/admission.py`` ignores it), it only buffered the source.
+    ``pop_batch``/``closed``/``len`` are :class:`FeedbackQueue`'s consumer
+    contract: ``len`` is what a pop could return now (every remaining frame
+    offline, the due ones when paced), and ``closed`` means no frame will
+    come that ``len`` does not count yet.  No feedback is lost: the first
+    stage's queue only ever buffered the source (``core/admission.py``).
     """
 
     pipe: ThreadedPipeline
     slot: int
-    start: int
-    count: int
+    start: int = 0
+    count: int = 0
     offered: int = 0
-    source0: np.ndarray = field(init=False)  # the stream's _source_counts() at creation
-    t0: float | None = None  # pacing origin: the first pop
+    source0: np.ndarray = field(default_factory=lambda: np.zeros(2, dtype=int))
+    t0: float = 0.0  # when frame ``start`` is due (paced)
+    opened: threading.Event = field(default_factory=threading.Event)
     stop: threading.Event = field(default_factory=threading.Event)
-    boundary: threading.Event = field(default_factory=threading.Event)
+    lock: threading.Lock = field(default_factory=threading.Lock)
 
-    def __post_init__(self) -> None:
+    def open(self, start: int, count: int) -> None:
+        """Offer frames ``[start, start + count)``, the first of them due now."""
         self.source0 = _source_counts(self.pipe.ctxs[self.slot].stream)
+        self.start, self.t0 = start, time.monotonic()
+        self.count = count
+        self.opened.set()
+        self.pipe._wake[self.pipe.graph.first.name].set()
 
     @property
     def active(self) -> bool:
         """Still offering frames here (re-forwardable)."""
         return not self.stop.is_set() and self.offered < self.count
 
-    closed = True  # a stream's frames all exist up front: nothing is ever put
+    def _halted(self) -> bool:
+        return self.stop.is_set() or self.pipe._abort.is_set()
+
+    def _due(self) -> int:
+        """Frames of the range a pop may have taken by now: all of them
+        offline, those already due when paced (none before :meth:`open`)."""
+        if not self.opened.is_set():
+            return 0
+        fps = self.pipe._paced_fps
+        if fps is None:
+            return self.count
+        return min(self.count, int((time.monotonic() - self.t0) * fps) + 1)
+
+    @property
+    def closed(self) -> bool:
+        return self._halted() or (self.opened.is_set() and self._due() == self.count)
 
     def __len__(self) -> int:
-        """Frames still to be pulled here (none once stopped or aborting)."""
-        halted = self.stop.is_set() or self.pipe._abort.is_set()
-        return 0 if halted else self.count - self.offered
+        return 0 if self._halted() else self._due() - self.offered
+
+    def due_in(self, max_n: int, min_n: int = 1) -> float:
+        """Seconds until ``pop_batch(max_n, min_n)`` of an active feed can
+        return frames: until ``max(min_n, paced_hold(fps, max_n))`` of them,
+        or the rest of the range, are due."""
+        fps = self.pipe._paced_fps
+        if fps is None:
+            return 0.0
+        need = min(max(min_n, paced_hold(fps, max_n)), self.count - self.offered)
+        return self.t0 + (self.offered + need - 1) / fps - time.monotonic()
 
     def pop_batch(self, max_n: int, min_n: int = 1, timeout: float | None = None) -> list:
-        """Render the next chunk (and admit it, when the first stage itself
-        pulls).  Offline that is ``max_n`` frames, or what is left, at once.
-        A paced source waits — ``timeout`` at most, then ``[]`` — until
-        ``max(min_n, paced_hold(fps, max_n))`` frames are due (the stream's
-        remainder at its end) and returns every due frame up to ``max_n``;
-        each frame's clock then starts at its due time, not at the pop."""
-        pipe, j = self.pipe, self.offered
-        n = min(max_n, len(self))
-        fps = pipe._paced_fps
-        if fps is not None and n:
-            t0 = self.t0 = self.t0 or time.monotonic()
-            min_n = min(max(min_n, paced_hold(fps, max_n)), n)
-            wait = t0 + (j + min_n - 1) / fps - time.monotonic()
-            # Waits on ``stop`` so a detach mid-hold returns at once.
-            if wait > 0 and self.stop.wait(wait if timeout is None else min(wait, timeout)):
-                return []
-            due = int((time.monotonic() - t0) * fps) + 1 - j
-            n = min(n, due) if due >= min_n else 0
-        stream = pipe.ctxs[self.slot].stream
-        works = [
-            _Work(
-                self.slot, i, stream.pixels(i),
-                time.monotonic() if fps is None else t0 + (i - self.start) / fps,
-            )
-            for i in range(self.start + j, self.start + j + n)
-        ]
-        self.offered = j + n
-        if works and pipe._pull and pipe.telemetry is not None:
+        """Render the next chunk and admit it into the first stage.
+
+        Offline that is ``max_n`` frames, or what is left, at once.  A paced
+        feed waits — ``timeout`` at most, then ``[]`` — until :meth:`due_in`
+        says so and returns every due frame up to ``max_n``; each frame's
+        clock then starts at its due time, not at the pop.  A feed not yet
+        opened waits for :meth:`open` the same way.
+        """
+        if not self.opened.wait(timeout) or not self.active:
+            return []
+        pipe, fps = self.pipe, self.pipe._paced_fps
+        wait = self.due_in(max_n, min_n)
+        # Waits on ``stop`` so a detach mid-hold returns at once.
+        if wait > 0 and (
+            self.stop.wait(wait if timeout is None else min(wait, timeout))
+            or self.due_in(max_n, min_n) > 0
+        ):
+            return []
+        with self.lock:
+            j, n = self.offered, min(max_n, len(self))  # none once stopped
+            stream = pipe.ctxs[self.slot].stream
+            works = [
+                _Work(
+                    self.slot, i, stream.pixels(i),
+                    time.monotonic() if fps is None else self.t0 + (i - self.start) / fps,
+                )
+                for i in range(self.start + j, self.start + j + n)
+            ]
+            self.offered = j + n
+        if pipe.telemetry is not None:
             now, first = pipe._now(), pipe.graph.first.name
             for w in works:
                 t = now if fps is None else w.t_start - pipe._t0
@@ -182,8 +215,8 @@ class ThreadedPipeline:
     """Run a stage graph end-to-end with real inference on a set of streams.
 
     With ``reserve_slots > 0`` the pipeline becomes a *cluster instance*:
-    it pre-builds that many extra single-use stream slots (queues and
-    per-stream workers must exist before any thread starts), so a stream
+    it pre-builds that many extra single-use stream slots (feeds, queues and
+    workers all exist before any thread starts), so a stream
     can be attached mid-run via :meth:`attach_stream` after another
     instance detached it at a frame boundary with :meth:`detach_stream`.
     In that mode :meth:`run` does not return until :meth:`seal` closes the
@@ -242,39 +275,26 @@ class ThreadedPipeline:
             k.add_stream(_stream_info(ctx.stream) if ctx.stream is not None else None)
         n = len(self.ctxs)
 
-        #: Per-slot source control blocks (None = reserve slot, unused).
-        self._feeds: list[_Feed | None] = [None] * n
-        #: A per_stream first stage pulls from its slot's feed; any other
-        #: fan-in pools streams, so prefetchers push into real queues.
-        self._pull = self.graph.first.fan_in == PER_STREAM
-        #: Per-stage input queues: one per stream for per_stream/shared_rr
-        #: stages, a single merged queue otherwise.
-        self.stage_queues: dict[str, list] = {}
+        #: Per-slot sources: the first stage's input, whatever its fan-in.
+        self._feeds = [_Feed(self, i) for i in range(n)]
+        #: Per-stage input queues: the feeds for the first stage, then one
+        #: per stream for per_stream/shared_rr stages, a single merged
+        #: queue otherwise.
+        self.stage_queues: dict[str, list] = {self.graph.first.name: self._feeds}
         self.merged_queues: dict[str, FeedbackQueue] = {}
-        for spec in self.graph:
-            if self._pull and spec is self.graph.first:
-                self.stage_queues[spec.name] = self._feeds
-                continue
+        for spec in list(self.graph)[1:]:
             queues = k.make_queues(spec, FeedbackQueue, range(n))
             if spec.fan_in == MERGED:
                 self.merged_queues[spec.name] = queues[0]
             else:
                 self.stage_queues[spec.name] = queues
 
-        # Idle shared/fused workers park on these instead of spin-polling;
+        # Idle pooling workers park on these instead of spin-polling;
         # producers set the event on every put into (or close of) one of
-        # the stage's per-stream queues.
-        self._wake = {
-            spec.name: threading.Event()
-            for spec in self.graph
-            if spec.fan_in in (SHARED_RR, FUSED)
-        }
+        # the stage's per-stream queues, and a feed when it opens.
+        self._wake = {spec.name: threading.Event() for spec in self.graph}
         # A merged queue is closed by the *last* of its producers.
-        self._producers_left = {
-            spec.name: self._producer_count(spec)
-            for spec in self.graph
-            if spec.fan_in == MERGED
-        }
+        self._producers_left = {q: self._producer_count(self.graph[q]) for q in self.merged_queues}
         self._producers_lock = threading.Lock()
 
         self._devnames = {spec.name: self.placement.hosts(spec)[0] for spec in self.graph}
@@ -283,7 +303,6 @@ class ThreadedPipeline:
         self.outcomes: list[FrameOutcome] = []
         self._outcome_lock = threading.Lock()
         self._feed_lock = threading.Lock()
-        self._dyn_threads: list[threading.Thread] = []
         self._sealed = reserve_slots == 0
         self._paced_fps: float | None = None
         self._running = False
@@ -307,9 +326,6 @@ class ThreadedPipeline:
     # ------------------------------------------------------------------
     def _producer_count(self, spec: StageSpec) -> int:
         """How many worker threads feed ``spec``'s merged queue."""
-        upstream = self.graph.upstream(spec.name)
-        if not upstream:
-            return len(self.ctxs)  # fed directly by the prefetchers
         if self.kernel.plan_routing and spec.terminal:
             # Early exits let *every* non-terminal stage's workers route
             # passers straight here, so the queue only closes once all of
@@ -319,8 +335,18 @@ class ThreadedPipeline:
                 for s in self.graph
                 if not s.terminal
             )
-        prev = upstream[-1]
+        prev = self.graph.upstream(spec.name)[-1]
         return len(self.ctxs) if prev.fan_in == PER_STREAM else 1
+
+    def _loop(self, spec: StageSpec):
+        """The worker loop serving ``spec``: a first stage that pools
+        streams pops every slot's feed from one worker (``merged`` by
+        round-robin, one stream per batch), as a later one pops its queues."""
+        if spec.fan_in == FUSED:
+            return self._fused_loop
+        if spec.fan_in == SHARED_RR or (spec.fan_in == MERGED and spec is self.graph.first):
+            return self._shared_loop
+        return self._queue_loop
 
     def _device_lock(self, spec: StageSpec):
         device = self.placement.devices.get(self._devnames[spec.name])
@@ -374,12 +400,9 @@ class ThreadedPipeline:
         threaded timeline is comparable with the simulator's virtual one)."""
         return time.monotonic() - self._t0
 
-    def _put(
-        self, spec: StageSpec, queue: FeedbackQueue, work: _Work, *, admit: bool = False
-    ) -> str:
+    def _put(self, spec: StageSpec, queue: FeedbackQueue, work: _Work) -> str:
         """Blocking put into ``spec``'s input: ``"ok"``, ``"dropped"``, or
-        ``"abort"``; ``admit`` marks a prefetcher's put (the frame's
-        admission into the pipeline).
+        ``"abort"``.
 
         Gives up on abort (a worker dying downstream must not leave its
         producer blocked forever on a full feedback queue).  With
@@ -399,7 +422,7 @@ class ThreadedPipeline:
                     if spec.fan_in in (SHARED_RR, FUSED):
                         self._wake[spec.name].set()
                     if traced:
-                        k.entered(spec.name, s_idx, f_idx, self._now(), admitted=admit)
+                        k.entered(spec.name, s_idx, f_idx, self._now())
                     return "ok"
             except QueueClosed:
                 if traced:
@@ -428,8 +451,7 @@ class ThreadedPipeline:
         targets = queues if stream_idx is None else [queues[stream_idx]]
         for q in targets:
             q.close()
-        if spec.fan_in in (SHARED_RR, FUSED):
-            self._wake[spec.name].set()
+        self._wake[spec.name].set()
 
     def _downstream_done(self, spec: StageSpec, stream_idx: int | None) -> None:
         nxt = self.graph.next(spec.name)
@@ -611,61 +633,33 @@ class ThreadedPipeline:
     # ------------------------------------------------------------------
     # workers
     # ------------------------------------------------------------------
-    def _prefetch_worker(self, idx: int):
-        """Push slot ``idx``'s feed, frame by frame, into the queues of a
-        first stage that pools streams."""
-        feed, first = self._feeds[idx], self.graph.first
-        target = self._input_queue(first, idx)
-        try:
-            while len(feed):
-                for work in feed.pop_batch(1, timeout=0.05):
-                    status = self._put(first, target, work, admit=True)
-                    if status != "ok":
-                        self._record(work, DROPPED if status == "dropped" else ABORTED)
-        except BaseException as exc:  # pragma: no cover - defensive
-            self._fail(exc)
-        finally:
-            self._feed_done(feed)
-            self._close_input(first, idx)
-
-    def _feed_done(self, feed: _Feed) -> None:
-        """``feed``'s source thread left its loop: frames an aborting pipeline
-        never admitted still get a terminal disposition, and ``start +
-        offered`` is final.  (A stopped feed's remainder is not ours: it
-        belongs to whichever instance attaches next.)"""
-        if self._abort.is_set() and not feed.stop.is_set():
-            now = time.monotonic()
-            for i in range(feed.start + feed.offered, feed.start + feed.count):
-                self._record(_Work(feed.slot, i, None, now), ABORTED)
-            feed.offered = feed.count
-        feed.boundary.set()
-
     def _stage_worker(self, loop, spec: StageSpec, idx: int | None):
         """Thread body of one stage worker running ``loop``: a failure aborts
         the pipeline, and on every exit path the worker releases its share
-        of the downstream queue(s) so the close protocol completes (and its
-        feed, when it pulled its own source)."""
+        of the downstream queue(s) so the close protocol completes."""
         try:
             loop(spec, idx)
         except BaseException as exc:
             self._fail(exc)
         finally:
             self._downstream_done(spec, idx)
-            if self._pull and spec is self.graph.first:
-                self._feed_done(self._feeds[idx])
 
-    def _source_thread(self, slot: int) -> threading.Thread:
-        """The thread offering ``slot``'s frames: the first stage's own worker
-        over the slot's feed, or a prefetcher pushing into pooled queues."""
-        if self._pull:
-            target, args = self._stage_worker, (self._queue_loop, self.graph.first, slot)
-        else:
-            target, args = self._prefetch_worker, (slot,)
-        return threading.Thread(target=target, args=args, daemon=True)
+    def _park(self, spec: StageSpec, take: int) -> None:
+        """Park a pooling worker that served nothing until a producer signals
+        (a put, a close, a feed opening) or — over the feeds — the earliest
+        paced pop of ``take`` comes due.  The 50 ms cap is only a safety
+        net, not a poll interval."""
+        wait = 0.05
+        if spec is self.graph.first:
+            wait = min([wait] + [f.due_in(take) for f in self._feeds if f.active])
+        wake = self._wake[spec.name]
+        wake.wait(max(0.0, wait))
+        wake.clear()
 
     def _queue_loop(self, spec: StageSpec, idx: int | None):
-        """Drain one input queue: stream ``idx``'s queue of a ``per_stream``
-        stage, or (``idx=None``) a ``merged`` stage's only one."""
+        """Drain one input queue: stream ``idx``'s queue (or feed) of a
+        ``per_stream`` stage, or (``idx=None``) a ``merged`` stage's only
+        one."""
         q = self._input_queue(spec, idx)
         max_n, min_n = self._batch_bounds(spec)
         live = spec.batch.kind == "config"
@@ -696,9 +690,9 @@ class ThreadedPipeline:
                 return
 
     def _shared_loop(self, spec: StageSpec, idx: None = None):
-        """Round-robin over a ``shared_rr`` stage's per-stream queues."""
+        """Round-robin over a ``shared_rr`` stage's per-stream queues, or a
+        pooling first stage's feeds."""
         queues = self.stage_queues[spec.name]
-        wake = self._wake[spec.name]
         cap, _ = self._batch_bounds(spec)  # frames taken from one stream per visit
         scratch = {"cap": cap}  # per-worker batch pixel buffer
         while True:
@@ -716,10 +710,7 @@ class ThreadedPipeline:
             if all_done or self._abort.is_set():
                 return
             if not any_served:
-                # Park until a producer signals new work (or close);
-                # the timeout is only a safety net, not a poll interval.
-                wake.wait(timeout=0.05)
-                wake.clear()
+                self._park(spec, cap)
 
     def _fused_loop(self, spec: StageSpec, idx: None = None):
         """Pool all streams' queues of a ``fused`` stage into mega-batches.
@@ -731,9 +722,8 @@ class ThreadedPipeline:
         identical decision function over the identical queue state.
         """
         queues = self.stage_queues[spec.name]
-        wake = self._wake[spec.name]
         cfg = self.config
-        depth = queues[0].depth
+        depth = cfg.queue_depth(spec.depth_key)
         scratch = {"cap": cfg.batch_size}
         rr = 0
         while True:
@@ -747,8 +737,7 @@ class ThreadedPipeline:
             if sum(takes) == 0:
                 if self._abort.is_set() or (eof and sum(lens) == 0):
                     return
-                wake.wait(timeout=0.05)
-                wake.clear()
+                self._park(spec, 1)
                 continue
             works: list[_Work] = []
             for si in fused_pop_order(takes, rr):
@@ -771,7 +760,8 @@ class ThreadedPipeline:
     def _unused_slots(self) -> list[int]:
         """Reserve slots no stream was ever attached to (single-use)."""
         return [
-            i for i, c in enumerate(self.ctxs) if c.stream is None and self._feeds[i] is None
+            f.slot for f, c in zip(self._feeds, self.ctxs)
+            if c.stream is None and not f.opened.is_set()
         ]
 
     def free_slots(self) -> int:
@@ -785,7 +775,7 @@ class ThreadedPipeline:
             return {
                 self.ctxs[i].stream.stream_id: i
                 for i, f in enumerate(self._feeds)
-                if f is not None and f.active and self.ctxs[i].stream is not None
+                if f.active and self.ctxs[i].stream is not None
             }
 
     def stream_costs(self) -> dict[str, int]:
@@ -826,18 +816,15 @@ class ThreadedPipeline:
             if not unused:
                 raise RuntimeError("no free reserve slot")
             slot = unused[0]
-            # Context first, then feed, then thread: the source and stage
-            # workers read ctx/bundle through the slot index.
+            # Context first, then feed: the slot's workers read ctx/bundle
+            # through the slot index once its feed opens.
             self.ctxs[slot] = _StreamCtx(stream=stream, bundle=self.zoo[stream.stream_id])
             self.kernel.add_stream(_stream_info(stream), slot)
-            self._feeds[slot] = _Feed(self, slot, start, end - start)
             self.metrics.frames_offered += end - start
-            t = self._source_thread(slot)
-            self._dyn_threads.append(t)
-        t.start()
+            self._feeds[slot].open(start, end - start)
         return slot
 
-    def detach_stream(self, slot: int, timeout: float = 10.0) -> int:
+    def detach_stream(self, slot: int) -> int:
         """Stop offering a stream's frames at the next frame boundary.
 
         Returns the first frame index *not* offered here — the exact index
@@ -848,14 +835,14 @@ class ThreadedPipeline:
         both sides of the handoff.
         """
         feed = self._feeds[slot]
-        if feed is None:
+        if not feed.opened.is_set():
             raise ValueError(f"slot {slot} has no active feed")
         feed.stop.set()
-        if not feed.boundary.wait(timeout):
-            raise RuntimeError(f"slot {slot} prefetcher missed the frame boundary")
+        with feed.lock:  # a pop in progress finishes its chunk first
+            offered = feed.offered
         with self._feed_lock:
-            self.metrics.frames_offered -= feed.count - feed.offered
-        return feed.start + feed.offered
+            self.metrics.frames_offered -= feed.count - offered
+        return feed.start + offered
 
     def seal(self) -> None:
         """Close every never-used reserve slot; no further attach is
@@ -864,18 +851,23 @@ class ThreadedPipeline:
             if self._sealed:
                 return
             self._sealed = True
-            unused = self._unused_slots()
-        first = self.graph.first
-        for i in unused:
-            # A pull slot never got its first-stage worker: stand in for it.
-            (self._downstream_done if self._pull else self._close_input)(first, i)
+            for i in self._unused_slots():
+                self._feeds[i].open(0, 0)
 
     # ------------------------------------------------------------------
     def _drain_unfinished(self) -> None:
-        """After an abort, give every still-queued frame a terminal record."""
+        """After an abort, give every still-queued frame, and every frame a
+        feed never offered, a terminal record.  (A detached feed's
+        remainder is not ours: it belongs to whichever instance attaches
+        next.)"""
         for q in self.kernel.queues:
             for work in q.drain():
                 self._record(work, ABORTED)
+        now = time.monotonic()
+        for f in self._feeds:
+            if not f.stop.is_set():
+                for i in range(f.start + f.offered, f.start + f.count):
+                    self._record(_Work(f.slot, i, None, now), ABORTED)
 
     def run(
         self,
@@ -887,8 +879,8 @@ class ThreadedPipeline:
         """Process every stream to completion and return metrics.
 
         ``online=True`` paces each source at ``paced_fps`` (default the
-        config's ``stream_fps``): a pulling first stage waits for
-        ``paced_hold`` due frames per batch, and every latency is timed from
+        config's ``stream_fps``): the first stage waits for ``paced_hold``
+        due frames per batch, and every latency is timed from
         the frame's due time.  Offline mode renders as fast as possible.
         """
         if self._ran:
@@ -899,11 +891,12 @@ class ThreadedPipeline:
         # The heap earlier work freed is not this run's footprint.
         trim_heap()
         self._paced_fps = (paced_fps or self.config.stream_fps) if online else None
-        for i, ctx in enumerate(self.ctxs):
-            if ctx.stream is not None:
-                count = len(ctx.stream) if n_frames is None else min(n_frames, len(ctx.stream))
-                self._feeds[i] = _Feed(self, i, 0, count)
-                self.metrics.frames_offered += count
+        counts = {
+            i: len(ctx.stream) if n_frames is None else min(n_frames, len(ctx.stream))
+            for i, ctx in enumerate(self.ctxs)
+            if ctx.stream is not None
+        }
+        self.metrics.frames_offered += sum(counts.values())
 
         bundles = [ctx.bundle for ctx in self.ctxs]
         for spec in self.graph:
@@ -925,24 +918,15 @@ class ThreadedPipeline:
                     self.zoo, self.config, self.config.num_sdd_procs,
                 )
 
-        # A reserve slot gets no source thread: its first-stage input closes
-        # at attach-exhaust or seal().
-        threads = [self._source_thread(i) for i, f in enumerate(self._feeds) if f is not None]
-        loops = {
-            PER_STREAM: self._queue_loop, MERGED: self._queue_loop,
-            SHARED_RR: self._shared_loop, FUSED: self._fused_loop,
-        }
-        for spec in self.graph:
-            if self._pull and spec is self.graph.first:
-                continue  # the source threads above are this stage's workers
-            # One worker per stream for per_stream stages, else one in all.
-            slots = range(len(self.ctxs)) if spec.fan_in == PER_STREAM else [None]
-            threads += [
-                threading.Thread(
-                    target=self._stage_worker, args=(loops[spec.fan_in], spec, i), daemon=True
-                )
-                for i in slots
-            ]
+        # One worker per stream for per_stream stages, else one in all; a
+        # reserve slot's workers wait on its feed until attach or seal().
+        threads = [
+            threading.Thread(
+                target=self._stage_worker, args=(self._loop(spec), spec, i), daemon=True
+            )
+            for spec in self.graph
+            for i in (range(len(self.ctxs)) if spec.fan_in == PER_STREAM else [None])
+        ]
 
         self._t0 = t0 = time.monotonic()
         self._running = True
@@ -957,17 +941,14 @@ class ThreadedPipeline:
         # The engine's parallelism is its stage threads: BLAS helpers are
         # capped to the cores those leave over, and restored on every exit.
         with blas_thread_cap(len(threads)) as blas:
+            for i, count in counts.items():
+                self._feeds[i].open(0, count)  # paced: frame 0 is due now
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
-            # Source threads spawned by attach_stream() after the static set
-            # was launched.  Stage workers only exit once *every* first-stage
-            # input has closed (including reserve slots, closed by
-            # attach-exhaust or seal()), so by now no further one can appear.
-            for t in list(self._dyn_threads):
-                t.join()
-        self._running = False
+        with self._feed_lock:  # no attach can land after the drain below
+            self._running = False
         duration = time.monotonic() - t0
         if sampler_stop is not None:
             sampler_stop.set()
@@ -999,14 +980,12 @@ class ThreadedPipeline:
         m.frame_latency = LatencyStats.from_samples([o.latency for o in self.outcomes])
         m.extra["engine"] = {"worker_threads": len(threads), **blas}
         if self._paced_fps is not None:
-            # A pooled first stage's prefetcher pops one frame at a time.
-            cap = self._batch_bounds(self.graph.first)[0] if self._pull else 1
+            cap = self._batch_bounds(self.graph.first)[0]
             m.extra["engine"]["paced_hold"] = paced_hold(self._paced_fps, cap)
         # What this run's sources read, and how much of it had to be rendered
         # rather than read back from the stored clip (video/clipstore.py).
-        feeds = [f for f in self._feeds if f is not None]
         read, rendered = sum(
-            (_source_counts(self.ctxs[f.slot].stream) - f.source0 for f in feeds),
+            (_source_counts(self.ctxs[f.slot].stream) - f.source0 for f in self._feeds),
             np.zeros(2, dtype=int),
         )
         m.extra["source"] = {"frames_read": int(read), "frames_rendered": int(rendered)}

@@ -3,7 +3,7 @@
 A :class:`VideoStream` couples a scene script with a renderer and exposes
 the access patterns the pipeline needs:
 
-* sequential iteration (the online prefetch path),
+* sequential reads (the engine's first stage, chunk by chunk),
 * random access / batched reads (trace building, training-set
   construction),
 * a chunked scan over one reused buffer (offline analysis of a long clip),

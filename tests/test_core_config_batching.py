@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batching import LATENCY_OBJECTIVE, batch_wait_bound, decide_batch, paced_hold
+from repro.core.batching import LATENCY_OBJECTIVE, decide_batch, paced_hold
 from repro.core.config import FFSVAConfig
 
 
@@ -118,26 +118,6 @@ class TestDecideBatch:
     @settings(max_examples=100, deadline=None)
     def test_property_dynamic_always_progresses(self, queue_len, batch):
         assert decide_batch("dynamic", queue_len, batch, 10) > 0
-
-
-class TestBatchWaitBound:
-    def test_dynamic_has_no_wait(self):
-        cfg = FFSVAConfig(batch_policy="dynamic", batch_size=30)
-        assert batch_wait_bound(cfg, 30.0) == 0.0
-
-    def test_static_wait_grows_with_batch(self):
-        small = batch_wait_bound(FFSVAConfig(batch_policy="static", batch_size=5), 30.0)
-        large = batch_wait_bound(FFSVAConfig(batch_policy="static", batch_size=30), 30.0)
-        assert large > small
-
-    def test_feedback_capped_by_depth(self):
-        cfg = FFSVAConfig(batch_policy="feedback", batch_size=30)
-        capped = batch_wait_bound(cfg, 30.0)
-        assert capped == pytest.approx((10 - 1) / 30.0)
-
-    def test_rejects_bad_fps(self):
-        with pytest.raises(ValueError):
-            batch_wait_bound(FFSVAConfig(), 0.0)
 
 
 class TestPacedHold:

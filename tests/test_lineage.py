@@ -8,7 +8,8 @@ summary.  These tests pin down:
   recorded end-to-end latency (exactly in the simulator; in the threaded
   runtime within 2 ms when paced, where admission and latency both start
   at the frame's due time, and within a measurement tolerance offline,
-  where the recorded latency starts at prefetch, before admission);
+  where the recorded latency starts as the first stage renders the frame,
+  before its chunk's admission is stamped);
 * cross-runtime structural equivalence — the same workload produces the
   same hop sequence and dispositions under real threads and the virtual
   clock (the lineage-level extension of the stage-counter guarantee);
@@ -371,7 +372,7 @@ class TestCrossRuntimeLineage:
         # Per-hop wait *magnitudes* are runtime-specific (real compute vs
         # the calibrated cost model shape the queues differently), and the
         # first hop additionally measures ingest back-pressure (real decode
-        # paces the threaded prefetcher; the simulator replays a trace
+        # paces the threaded first stage; the simulator replays a trace
         # instantly).  What is structural — and gated here — is *where*
         # waiting happens: past ingest, the same stages are
         # majority-waiting under both executors.
@@ -394,9 +395,10 @@ class TestCrossRuntimeLineage:
         for (s_idx, frame), lin in real.items():
             outcome = outcomes[(by_index[s_idx], frame)]
             diffs.append(abs(lin.totals()["total"] - outcome.latency))
-        # The recorded clock starts at prefetch (before the first queue
-        # put), so the lineage partition undershoots by the pre-admission
-        # wait; both must stay within a modest measurement tolerance.
+        # Offline the recorded clock starts as the first stage renders the
+        # frame (before its chunk's admission is stamped), so the lineage
+        # partition undershoots by the rest of the chunk's render; both
+        # must stay within a modest measurement tolerance.
         assert max(diffs) < 0.5
         assert statistics.mean(diffs) < 0.1
 

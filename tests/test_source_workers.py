@@ -1,12 +1,13 @@
 """Source workers and the BLAS cap (DESIGN.md §18).
 
-A ``per_stream`` first stage pulls its own stream in batch-sized chunks —
-no prefetch thread, no first-stage queue; paced, it lets ``paced_hold``
-frames come due per chunk and times each frame from its due time (§22) —
-and OpenBLAS helpers are capped while ``run()`` lasts.  Everything here is
-counted through the ``StageLogic`` seam on stub streams whose frame ``t``
-is filled with ``t``: no training, and every verdict is a function of the
-frame index.
+Every first stage pops its streams' feeds in batch-sized chunks — no
+prefetch thread, no first-stage queue, one worker per stream when it is
+``per_stream`` and one for all streams when it pools them; paced, a pop
+lets ``paced_hold`` frames come due and times each frame from its due
+time (§22) — and OpenBLAS helpers are capped while ``run()`` lasts.
+Everything here is counted through the ``StageLogic`` seam on stub streams
+whose frame ``t`` is filled with ``t``: no training, and every verdict is
+a function of the frame index.
 """
 
 import dataclasses
@@ -19,8 +20,17 @@ import numpy as np
 import pytest
 
 from repro.core import FFSVAConfig
-from repro.core.batching import paced_hold
-from repro.core.pipeline import ABORTED, CASCADES, StageGraph, StageLogic
+from repro.core.batching import LATENCY_OBJECTIVE, paced_hold
+from repro.core.pipeline import (
+    ABORTED,
+    CASCADES,
+    FUSED,
+    SHARED_RR,
+    StageGraph,
+    StageLogic,
+    scaled_graph,
+)
+from repro.obs import Telemetry, build_all_lineages
 from repro.runtime import ThreadedPipeline
 from repro.runtime.blas import _openblas_libs, blas_thread_cap
 
@@ -169,16 +179,46 @@ class TestSourceWorkers:
         sizes = [len(f) for f in batches(calls, "snm")]
         assert sizes == [8] * 12 + [4]
 
-    def test_pooling_first_stage_keeps_its_prefetchers(self):
+    def test_pooling_first_stage_pulls_its_feeds(self):
         streams = [CountingStream(f"s{i}", 50) for i in range(2)]
         graph, calls = probe_graph("tyolo-only")
         pipe = ThreadedPipeline(streams, zoo_for(streams), FFSVAConfig(), graph=graph)
         m = pipe.run()
-        assert m.extra["engine"]["worker_threads"] == 4  # 2 prefetch + T-YOLO + ref
+        assert m.extra["engine"]["worker_threads"] == 2  # T-YOLO + ref, no prefetcher
         renderers = streams[0].threads | streams[1].threads
-        assert len(renderers) == 2 and renderers.isdisjoint({t for *_, t in calls})
+        assert renderers == {t for name, *_, t in calls if name == "tyolo"}
+        assert len(renderers) == 1
         assert len(pipe.outcomes) == 100
         m.check_conservation()
+
+    @pytest.mark.parametrize("cascade, fusion", [("tyolo-only", False), ("no-sdd", True)])
+    def test_paced_pooling_first_stage_holds_within_the_objective(self, cascade, fusion):
+        n, fps = 40, 80.0
+        streams = [CountingStream(f"s{i}", n) for i in range(2)]
+        graph, _ = probe_graph(cascade)
+        graph = scaled_graph(graph, snm_fusion=fusion)
+        assert graph.first.fan_in == (FUSED if fusion else SHARED_RR)
+        cfg = FFSVAConfig(cascade=cascade, snm_fusion=fusion)
+        tel = Telemetry()
+        pipe = ThreadedPipeline(streams, zoo_for(streams), cfg, graph=graph, telemetry=tel)
+        m = pipe.run(online=True, paced_fps=fps)
+        m.check_conservation()
+        assert len(pipe.outcomes) == m.frames_offered == 2 * n
+        cap = cfg.batch_size if fusion else cfg.num_t_yolo
+        assert m.extra["engine"]["paced_hold"] == paced_hold(fps, cap)
+        assert 0 <= min(o.latency for o in pipe.outcomes)
+        assert max(o.latency for o in pipe.outcomes) <= LATENCY_OBJECTIVE
+        # Admission is stamped at each frame's due time, the origin of its
+        # recorded latency, so the lineage partition covers all of it.
+        lineages = build_all_lineages(
+            tel.bus.events(), terminal=graph.terminal.name, dropped=tel.bus.dropped
+        )
+        by_index = {v["index"]: sid for sid, v in pipe.lineage_context()["streams"].items()}
+        outcomes = {(o.stream_id, o.index): o for o in pipe.outcomes}
+        assert len(lineages) == len(outcomes)
+        for lin in lineages:
+            outcome = outcomes[(by_index[lin.stream], lin.frame)]
+            assert lin.totals()["total"] == pytest.approx(outcome.latency, abs=0.002)
 
     def test_first_stage_fault_accounts_for_the_unrendered_tail(self):
         n = 200
@@ -195,7 +235,7 @@ class TestSourceWorkers:
         assert stream.rendered == list(range(32))
         self.assert_tail_aborted(pipe, stream, n)
 
-    # The second case has a pooling first stage, i.e. the push prefetcher.
+    # The second case has a first stage that pools its streams' feeds.
     @pytest.mark.parametrize("cascade, faulty", [("ffs-va", "snm"), ("tyolo-only", "ref")])
     def test_downstream_abort_stops_the_source_mid_stream(self, cascade, faulty):
         n = 2000
@@ -221,18 +261,30 @@ class TestSourceWorkers:
         assert_all_queues_closed_and_empty(pipe)
 
     def test_detach_and_attach_partition_the_stream(self):
+        self.assert_detach_and_attach_partition("ffs-va", chunk=16)
+
+    # One worker pops every stream's feed, a chunk per visit.
+    @pytest.mark.parametrize("cascade, chunk", [("tyolo-only", 2), ("ref-only", 8)])
+    def test_detach_and_attach_partition_a_pooled_stream(self, cascade, chunk):
+        self.assert_detach_and_attach_partition(cascade, chunk)
+
+    @staticmethod
+    def assert_detach_and_attach_partition(cascade, chunk):
+        """Instance ``a`` detaches its one stream mid-run at a chunk
+        boundary; a reserve slot of instance ``b`` takes it from there."""
         n = 1600
         stream = CountingStream("s0", n)
         twin = CountingStream("s0", n)  # the receiving instance's view of it
         started = threading.Event()
+        first = CASCADES[cascade].first.name
 
         def slow(stage, frames):
-            if stage == "sdd":
+            if stage == first:
                 started.set()
                 time.sleep(0.005)
 
-        graph_a, _ = probe_graph(hook=slow)
-        graph_b, calls_b = probe_graph()
+        graph_a, _ = probe_graph(cascade, hook=slow)
+        graph_b, calls_b = probe_graph(cascade)
         a = ThreadedPipeline([stream], zoo_for([stream]), FFSVAConfig(), graph=graph_a)
         b = ThreadedPipeline([], zoo_for([twin]), FFSVAConfig(), graph=graph_b, reserve_slots=1)
         runs = [threading.Thread(target=p.run, daemon=True) for p in (a, b)]
@@ -240,7 +292,7 @@ class TestSourceWorkers:
             t.start()
         assert started.wait(10.0)
         boundary = a.detach_stream(0)
-        assert 0 < boundary < n and boundary % 16 == 0  # between chunks
+        assert 0 < boundary < n and boundary % chunk == 0  # between chunks
         deadline = time.monotonic() + 10.0
         while not b._running and time.monotonic() < deadline:
             time.sleep(0.001)
@@ -253,7 +305,7 @@ class TestSourceWorkers:
         # Each side read exactly its own half of the stream, once.
         assert sorted(o.index for o in a.outcomes) == stream.rendered == list(range(boundary))
         assert sorted(o.index for o in b.outcomes) == twin.rendered == list(range(boundary, n))
-        assert batches(calls_b, "sdd")[0][0] == boundary
+        assert batches(calls_b, first)[0][0] == boundary
         assert a.metrics.frames_offered == boundary
         assert b.metrics.frames_offered == n - boundary
         for p in (a, b):
