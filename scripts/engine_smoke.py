@@ -6,10 +6,9 @@ under a private empty ``TMPDIR``, then once paced at 80 fps, then the same
 streams on the ``tyolo-only`` cascade offline and paced, and prints
 ``RunMetrics.extra["engine"]`` and ``extra["source"]``.  Fails if
 
-* a default-cascade run did not start exactly 2 SDD + 2 SNM + 1 T-YOLO +
-  1 reference = 6 worker threads, or a ``tyolo-only`` run exactly 1 T-YOLO
-  + 1 reference = 2 (a prefetch thread per stream came back: every first
-  stage pops its streams' feeds itself, one worker for all when it pools),
+* a default-cascade or ``tyolo-only`` run did not start exactly one worker
+  per usable CPU (the engine's workers serve every stage and stream; a
+  thread per stage, stream or source would show here),
 * an OpenBLAS is mapped into the process but ``runtime/blas.py`` capped no
   library — a numpy/scipy build whose symbol spelling the cap does not know
   would otherwise show up only as a silent loss of the measured gain,
@@ -41,6 +40,7 @@ from repro.models import ModelZoo  # noqa: E402
 from repro.nn import TrainConfig  # noqa: E402
 from repro.obs import Telemetry  # noqa: E402
 from repro.runtime import ThreadedPipeline  # noqa: E402
+from repro.runtime.blas import usable_cpus  # noqa: E402
 from repro.video import jackson, make_stream  # noqa: E402
 
 
@@ -66,7 +66,7 @@ def run_twice(tmp: str) -> dict:
         engine, source = m.extra["engine"], m.extra["source"]
         print(f"{attempt} run: engine {engine}, source {source}")
         assert len(pipe.outcomes) == m.frames_offered == source["frames_read"] == 240
-        assert engine["worker_threads"] == 6, f"expected 6 engine workers, got {engine}"
+        assert engine["worker_threads"] == usable_cpus(), f"expected a worker per CPU: {engine}"
         ref_batches += [ev.n for ev in tel.bus.events() if ev.kind == "batch_exec" and ev.stage == "ref"]
     assert source["frames_rendered"] == 0, f"second run re-rendered stored frames: {source}"
     print(f"offline reference batches: {len(ref_batches)} for {sum(ref_batches)} frames")
@@ -102,8 +102,8 @@ def paced_run(streams, zoo, fps: float = 80.0) -> None:
 
 
 def pooled_runs(streams, zoo, fps: float = 80.0) -> None:
-    """``tyolo-only``, whose first stage pools the streams: its one worker
-    pops both feeds, offline and paced."""
+    """``tyolo-only``, whose first stage pools the streams: the workers pop
+    both feeds, offline and paced."""
     cfg = FFSVAConfig(cascade="tyolo-only")
     for online in (False, True):
         pipe = ThreadedPipeline(streams, zoo, cfg)
@@ -111,7 +111,7 @@ def pooled_runs(streams, zoo, fps: float = 80.0) -> None:
         engine = m.extra["engine"]
         print(f"tyolo-only {'paced' if online else 'offline'} run: engine {engine}")
         assert len(pipe.outcomes) == m.frames_offered == 240
-        assert engine["worker_threads"] == 2, f"expected 2 engine workers, got {engine}"
+        assert engine["worker_threads"] == usable_cpus(), f"expected a worker per CPU: {engine}"
     hold = paced_hold(fps, cfg.num_t_yolo)
     assert engine.get("paced_hold") == hold, f"expected paced_hold {hold}: {engine}"
 

@@ -138,6 +138,9 @@ class CascadeKernel:
         #: Telemetry only: stage -> {(stream, frame): enqueue time}, popped
         #: at settlement to split each hop's wait from its service.
         self.enter_t: dict[str, dict] = {spec.name: {} for spec in self.graph}
+        #: Device -> the stage it last started a batch of (``stage_order``'s
+        #: tie-break); the driver sets it whenever a device starts one.
+        self.dev_last: dict[str, str] = {}
         self._lock = threading.Lock()
         self._prev = {"t": 0.0, "entered": {}, "busy": {}}
 
@@ -210,6 +213,30 @@ class CascadeKernel:
         if self.planner is not None:
             return self.planner.batch_target
         return self.config.batch_size
+
+    def stage_order(self, device: str, specs: list[StageSpec], backlog) -> list[StageSpec]:
+        """Service order for a device hosting several stages.
+
+        The worker threads share the device through the driver, which
+        time-slices them roughly in proportion to their pending work.  We
+        approximate that by serving whichever stage has more queued
+        service-time, falling back to strict alternation on ties — without
+        this, a long unbounded SNM backlog (static batching) would starve
+        T-YOLO and stall the reference stage behind it.  ``backlog(spec)``
+        is that queued service-time as the driver measures it.
+        """
+        if len(specs) == 1:
+            return specs
+        works = [backlog(sp) for sp in specs]
+        if all(abs(w - works[0]) < 1e-12 for w in works):
+            last = self.dev_last.get(device, specs[0].name)
+            names = [sp.name for sp in specs]
+            if last in names:
+                i = names.index(last)
+                return list(specs[i + 1 :]) + list(specs[: i + 1])
+            return list(specs)
+        ranked = sorted(range(len(specs)), key=lambda i: (-works[i], i))
+        return [specs[i] for i in ranked]
 
     def target(self, spec: StageSpec, s_idx: int, f_idx: int) -> StageSpec:
         """The stage a survivor of ``spec`` flows into: the next one, or —

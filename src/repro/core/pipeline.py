@@ -113,7 +113,8 @@ ABORTED = "aborted"
 #: downstream queue already closed); distinct from every stage name.
 DROPPED = "dropped"
 
-# Fan-in modes: how a stage's input queue(s) relate to the streams.
+# Fan-in modes: how a stage's input queue(s) relate to the streams (a
+# "worker" is one batch in flight at a time: the engine's worker keys).
 PER_STREAM = "per_stream"  # one queue and one worker per stream
 SHARED_RR = "shared_rr"  # one queue per stream, one worker round-robins
 MERGED = "merged"  # a single queue merging all streams
@@ -337,8 +338,9 @@ def effective_batch(spec: StageSpec, config) -> int:
 
 
 def arbitration_batch(spec: StageSpec, config) -> int:
-    """Batch size for estimating a stage's pending work when several
-    stages share one device (the simulator's GPU arbitration)."""
+    """The most frames one batch at ``spec`` takes by its rule: the threaded
+    engine's cap, and the batch size at which both runtimes' device
+    arbitration estimates a stage's pending work."""
     rule = spec.batch
     if rule.kind == "config":
         return max(config.batch_size, 1)
@@ -577,7 +579,7 @@ def scaled_graph(
 
     * ``executor="process"`` marks every CPU-hosted stage to run its batches
       on a worker-process pool (the threaded runtime ignores the flag for
-      GPU stages, whose device lock already serializes them);
+      GPU stages, whose device already runs one batch at a time);
     * ``snm_fusion=True`` switches the SNM stage's fan-in to ``fused``: one
       worker pops all streams' queues into cross-stream mega-batches;
     * ``tyolo_mosaic=True`` promotes T-YOLO to a fused mosaic stage: the

@@ -6,15 +6,18 @@ a later stage.  For example, when the T-YOLO queue depth exceeds a
 threshold, the SNM thread automatically slows down or even gets blocked, and
 stops pushing frames to the T-YOLO queue until the T-YOLO queue is free."
 
-:class:`FeedbackQueue` is the thread-safe implementation used by the real
-threaded runtime; the discrete-event simulator reuses the same bounded-depth
-semantics through :class:`SimQueue`, a non-locking variant, so both runtimes
-share one behaviour contract:
+Both runtimes connect their stages with :class:`SimQueue`, a bounded FIFO
+without locking: the simulator's event loop and the threaded engine's
+scheduler (which touches queues only under its one lock) check
+:meth:`SimQueue.has_room` before every ``put``, and a producer without room
+holds the frame — Section 4.3.1's back-pressure without a blocked thread.
+``pop_batch`` removes up to ``max_n`` items FIFO, and an unbounded mode
+(``depth=None``) models the static-batch configuration, which runs without
+the feedback mechanism.
 
-* ``put`` blocks while the queue is at its depth threshold (back-pressure);
-* ``pop_batch`` removes up to ``max_n`` items FIFO;
-* an unbounded mode (``depth=None``) models the static-batch configuration,
-  which runs without the feedback mechanism.
+:class:`FeedbackQueue` is the blocking, thread-safe variant (``put`` waits
+while the queue is at its depth threshold); no runtime uses it any more,
+and the benchmark's isolated hand-off row still times it.
 """
 
 from __future__ import annotations
@@ -31,12 +34,12 @@ class QueueClosed(Exception):
 
 
 class SimQueue:
-    """Bounded FIFO for the discrete-event simulator (no locking).
+    """Bounded FIFO for both runtimes' stage inputs (no locking).
 
-    The simulator's event loop checks :meth:`has_room` before every
-    :meth:`put` (a producer without room holds the frame and waits for a
-    dequeue), so ``put`` over the depth threshold is a bug and raises.
-    Tracks high-water depth for diagnostics.
+    Every driver checks :meth:`has_room` before :meth:`put` (a producer
+    without room holds the frame until a dequeue), so ``put`` over the
+    depth threshold is a bug and raises.  Tracks high-water depth for
+    diagnostics.
     """
 
     def __init__(self, depth: int | None = None, name: str = "q"):

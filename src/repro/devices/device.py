@@ -3,14 +3,14 @@
 A :class:`Device` is a serial execution resource (one GPU, or the CPU pool
 treated as one aggregate server for the lightweight SDD work).  The
 discrete-event simulator advances each device's ``busy_until`` clock; the
-threaded runtime uses the same objects merely as placement tags plus a lock
-to serialize access (mirroring CUDA stream serialization per device).
+threaded runtime reads the same objects as placement tags, running one batch
+at a time on a ``gpu``-kind device (mirroring CUDA stream serialization per
+device).
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Device", "DeviceKind", "standard_server"]
 
@@ -28,9 +28,6 @@ class Device:
     # -- simulation state ---------------------------------------------------
     busy_until: float = 0.0
     busy_time: float = 0.0  # accumulated service time, for utilization
-
-    # -- threaded-runtime state ----------------------------------------------
-    lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def reset(self) -> None:
         """Clear simulation accounting."""

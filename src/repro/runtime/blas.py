@@ -1,11 +1,12 @@
 """Cap OpenBLAS helper threads while a threaded run is in progress.
 
-The engine gets its parallelism from stage threads; OpenBLAS's helpers spin
-after every matmul on the cores those need.  ``threadpoolctl`` is not a
-dependency: the OpenBLAS copies mapped into the process (numpy's, scipy's)
-are found in ``/proc/self/maps`` and driven through ``ctypes``.  The count is
-process-wide native state, so overlapping runs share the outermost one's
-cap and the last one out restores what the first one found.
+The engine gets its parallelism from its workers, one per usable CPU;
+OpenBLAS's helpers spin after every matmul on the cores those need.
+``threadpoolctl`` is not a dependency: the OpenBLAS copies mapped into the
+process (numpy's, scipy's) are found in ``/proc/self/maps`` and driven
+through ``ctypes``.  The count is process-wide native state, so
+overlapping runs share the outermost one's cap and the last one out
+restores what the first one found.
 """
 
 from __future__ import annotations
@@ -15,12 +16,18 @@ import os
 import threading
 from contextlib import contextmanager
 
-__all__ = ["blas_thread_cap"]
+__all__ = ["blas_thread_cap", "usable_cpus"]
 
 _lock = threading.Lock()
 _holders = 0  # runs currently inside blas_thread_cap
 _held: dict = {}  # what the outermost of them reports
 _restore: list = []  # (setter, thread count found) per capped library
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where there is one)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _openblas_libs() -> list[tuple]:
@@ -52,9 +59,7 @@ def blas_thread_cap(worker_threads: int):
     global _holders, _held, _restore
     with _lock:
         if _holders == 0:
-            affinity = getattr(os, "sched_getaffinity", None)
-            cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-            cap = max(1, cpus // max(1, worker_threads))
+            cap = max(1, usable_cpus() // max(1, worker_threads))
             libs = _openblas_libs()
             _restore = [(put, get()) for get, put in libs]
             for _, put in libs:

@@ -257,7 +257,6 @@ class PipelineSimulator:
         self._heap: list = []
         self._seq = itertools.count()
         self._in_service: dict[str, _Service] = {}
-        self._dev_last: dict[str, str] = {}
         self._now = 0.0
         self._ref_latencies: list[float] = []
         self._drop_latencies: list[float] = []
@@ -624,30 +623,10 @@ class PipelineSimulator:
             return True
         return False
 
-    def _stage_order(self, device_name: str, specs: list[StageSpec]) -> list[StageSpec]:
-        """Service order for a device hosting several stages.
-
-        The worker threads share the device through the driver, which
-        time-slices them roughly in proportion to their pending work.  We
-        approximate that by serving whichever stage has more queued
-        service-time, falling back to strict alternation on ties — without
-        this, a long unbounded SNM backlog (static batching) would starve
-        T-YOLO and stall the reference stage behind it.
-        """
-        if len(specs) == 1:
-            return specs
-        works = [
-            self._stages[sp.name].queued * self._stages[sp.name].arb_time for sp in specs
-        ]
-        if all(abs(w - works[0]) < 1e-12 for w in works):
-            last = self._dev_last.get(device_name, specs[0].name)
-            names = [sp.name for sp in specs]
-            if last in names:
-                i = names.index(last)
-                return list(specs[i + 1 :]) + list(specs[: i + 1])
-            return list(specs)
-        ranked = sorted(range(len(specs)), key=lambda i: (-works[i], i))
-        return [specs[i] for i in ranked]
+    def _backlog(self, spec: StageSpec) -> float:
+        """Queued service-time at ``spec``, what device arbitration weighs."""
+        stg = self._stages[spec.name]
+        return stg.queued * stg.arb_time
 
     def _try_start_devices(self, now: float) -> bool:
         """Start at most one service per idle device, per fixed-point pass."""
@@ -655,9 +634,9 @@ class PipelineSimulator:
         for device_name, specs in self._dev_stages.items():
             if device_name in self._in_service:
                 continue  # busy
-            for spec in self._stage_order(device_name, specs):
+            for spec in self.kernel.stage_order(device_name, specs, self._backlog):
                 if self._try_start_stage(device_name, spec, now):
-                    self._dev_last[device_name] = spec.name
+                    self.kernel.dev_last[device_name] = spec.name
                     any_started = True
                     break
         return any_started

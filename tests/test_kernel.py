@@ -165,6 +165,29 @@ class TestSettlement:
         assert "queue_depth[ref]" in kernel.sampler.names
 
 
+class TestStageOrder:
+    """Device arbitration, shared by both drivers: the stage with more
+    queued service-time first, strict alternation on ties."""
+
+    def test_more_backlog_goes_first(self):
+        kernel, _ = _kernel()
+        snm, tyolo = kernel.graph[SNM], kernel.graph[TYOLO]
+        backlog = {SNM: 3.0, TYOLO: 5.0}
+        order = kernel.stage_order("gpu0", [snm, tyolo], lambda sp: backlog[sp.name])
+        assert order == [tyolo, snm]
+        assert kernel.stage_order("gpu1", [kernel.graph[REF]], None) == [kernel.graph[REF]]
+
+    def test_ties_alternate_after_the_last_started(self):
+        kernel, _ = _kernel()
+        specs = [kernel.graph[SNM], kernel.graph[TYOLO]]
+        # With no start yet the first stage counts as the last one started.
+        assert kernel.stage_order("gpu0", specs, lambda sp: 0.0) == specs[::-1]
+        kernel.dev_last["gpu0"] = TYOLO
+        assert kernel.stage_order("gpu0", specs, lambda sp: 0.0) == specs
+        kernel.dev_last["gpu0"] = SNM
+        assert kernel.stage_order("gpu0", specs, lambda sp: 0.0) == specs[::-1]
+
+
 class TestPlanner:
     CONFIG = FFSVAConfig(plan="adaptive", plan_epoch=4, plan_hysteresis=1)
 
@@ -230,7 +253,9 @@ class TestBoundary:
         assert not imported & self.KERNEL_OWNED
 
     @pytest.mark.parametrize(
-        "needle", ["def _depth_for", "def _sample(", "def lineage_context", "DetectionRecord("]
+        "needle",
+        ["def _depth_for", "def _sample(", "def lineage_context", "DetectionRecord(",
+         "def stage_order("],
     )
     def test_shared_decisions_are_written_once(self, needle):
         files = [SRC / "core" / "kernel.py"]

@@ -1,10 +1,10 @@
-"""Source workers and the BLAS cap (DESIGN.md §18).
+"""Source workers and the BLAS cap (DESIGN.md §18, §24).
 
 Every first stage pops its streams' feeds in batch-sized chunks — no
-prefetch thread, no first-stage queue, one worker per stream when it is
-``per_stream`` and one for all streams when it pools them; paced, a pop
-lets ``paced_hold`` frames come due and times each frame from its due
-time (§22) — and OpenBLAS helpers are capped while ``run()`` lasts.
+prefetch thread, no first-stage queue, the engine's one worker per usable
+CPU popping them like any stage input; paced, a pop lets ``paced_hold``
+frames come due and times each frame from its due time (§22) — and
+OpenBLAS helpers are capped while ``run()`` lasts.
 Everything here is counted through the ``StageLogic`` seam on stub streams
 whose frame ``t`` is filled with ``t``: no training, and every verdict is
 a function of the frame index.
@@ -32,7 +32,7 @@ from repro.core.pipeline import (
 )
 from repro.obs import Telemetry, build_all_lineages
 from repro.runtime import ThreadedPipeline
-from repro.runtime.blas import _openblas_libs, blas_thread_cap
+from repro.runtime.blas import _openblas_libs, blas_thread_cap, usable_cpus
 
 #: Stage -> keep every k-th frame (nested, so counters are exact).
 KEEP = {"sdd": 2, "snm": 4, "tyolo": 8}
@@ -90,26 +90,25 @@ def batches(calls, stage, stream=None):
     return [f for name, sid, f, _ in calls if name == stage and stream in (None, sid)]
 
 
-def assert_all_queues_closed_and_empty(pipe):
-    for queues in pipe.stage_queues.values():
-        for q in queues:
-            assert q.closed and len(q) == 0
-    for q in pipe.merged_queues.values():
-        assert q.closed and len(q) == 0
+def assert_all_queues_empty(pipe):
+    """No feed, stage queue or out-buffer holds a frame at the end."""
+    assert not any(len(q) for q in [*pipe._feeds, *pipe.kernel.queues])
+    assert not pipe._held
 
 
 class TestSourceWorkers:
-    def test_default_cascade_runs_ten_workers_and_full_sdd_chunks(self):
+    def test_default_cascade_one_worker_per_cpu_full_sdd_chunks(self):
         n = 100
         streams = [CountingStream(f"s{i}", n) for i in range(4)]
         graph, calls = probe_graph()
         pipe = ThreadedPipeline(streams, zoo_for(streams), FFSVAConfig(), graph=graph)
         m = pipe.run()
-        # 4 SDD + 4 SNM + 1 T-YOLO + 1 ref; rendering happens on the SDD
-        # workers, so the threads seen at the seam are all there are.
-        assert m.extra["engine"]["worker_threads"] == 10
+        # One worker per usable CPU, whatever the stages and streams; it
+        # renders and evaluates, so the threads seen at the seam are its own.
+        assert m.extra["engine"]["worker_threads"] == usable_cpus()
         seen = {t for *_, t in calls}.union(*(s.threads for s in streams))
-        assert len(seen) == 10
+        assert 1 <= len(seen) <= usable_cpus()
+        assert all(t.name.startswith("engine-worker-") for t in seen)
         for s in streams:
             assert s.rendered == list(range(n))
             assert len(batches(calls, "sdd", s.stream_id)) <= math.ceil(n / 16) + 1
@@ -184,10 +183,11 @@ class TestSourceWorkers:
         graph, calls = probe_graph("tyolo-only")
         pipe = ThreadedPipeline(streams, zoo_for(streams), FFSVAConfig(), graph=graph)
         m = pipe.run()
-        assert m.extra["engine"]["worker_threads"] == 2  # T-YOLO + ref, no prefetcher
+        assert m.extra["engine"]["worker_threads"] == usable_cpus()  # no prefetcher
+        # Every frame is rendered by the worker serving its T-YOLO batch.
         renderers = streams[0].threads | streams[1].threads
         assert renderers == {t for name, *_, t in calls if name == "tyolo"}
-        assert len(renderers) == 1
+        assert len(renderers) <= usable_cpus()
         assert len(pipe.outcomes) == 100
         m.check_conservation()
 
@@ -258,7 +258,7 @@ class TestSourceWorkers:
         assert sorted(o.index for o in pipe.outcomes) == list(range(n))
         stage_of = {o.index: o.stage for o in pipe.outcomes}
         assert all(stage_of[i] == ABORTED for i in range(len(stream.rendered), n))
-        assert_all_queues_closed_and_empty(pipe)
+        assert_all_queues_empty(pipe)
 
     def test_detach_and_attach_partition_the_stream(self):
         self.assert_detach_and_attach_partition("ffs-va", chunk=16)
@@ -309,7 +309,7 @@ class TestSourceWorkers:
         assert a.metrics.frames_offered == boundary
         assert b.metrics.frames_offered == n - boundary
         for p in (a, b):
-            assert_all_queues_closed_and_empty(p)
+            assert_all_queues_empty(p)
 
     def test_detach_mid_hold_partitions_the_stream(self):
         n, fps = 400, 40.0  # 10 s of stream: the detach comes long before its end
@@ -351,7 +351,7 @@ class TestSourceWorkers:
         assert a.metrics.frames_offered == boundary
         assert b.metrics.frames_offered == n - boundary
         for p in (a, b):
-            assert_all_queues_closed_and_empty(p)
+            assert_all_queues_empty(p)
 
 
 def blas_counts() -> list[int]:
@@ -370,7 +370,7 @@ class TestBlasCap:
         m = self.run_probe(lambda stage, frames: inside.append(blas_counts()))
         engine = m.extra["engine"]
         assert engine["blas_libs"] == len(before)
-        assert engine["worker_threads"] == 4
+        assert engine["worker_threads"] == usable_cpus()
         assert inside and all(c == [engine["blas_threads"]] * len(before) for c in inside)
         assert blas_counts() == before
 
