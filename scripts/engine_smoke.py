@@ -14,6 +14,11 @@ streams on the ``tyolo-only`` cascade offline and paced, and prints
   would otherwise show up only as a silent loss of the measured gain,
 * the offline runs' reference batches are all singletons (the reference
   stage takes what its queue holds, up to ``ref_spec().batch.size``),
+* the second offline run's T-YOLO batches average ``num_t_yolo`` frames or
+  fewer (a batch is one round-robin cycle, up to ``num_t_yolo`` frames from
+  each stream in turn, so two streams' frames share it; the second run
+  reads every frame back from the stored clips, so rendering does not
+  thin its queues),
 * the second run rendered any frame (every one was stored by the first), or
 * the stored clips left a name in the temp directory, or a descriptor open
   once the streams are gone, or
@@ -67,10 +72,15 @@ def run_twice(tmp: str) -> dict:
         print(f"{attempt} run: engine {engine}, source {source}")
         assert len(pipe.outcomes) == m.frames_offered == source["frames_read"] == 240
         assert engine["worker_threads"] == usable_cpus(), f"expected a worker per CPU: {engine}"
-        ref_batches += [ev.n for ev in tel.bus.events() if ev.kind == "batch_exec" and ev.stage == "ref"]
+        execs = [ev for ev in tel.bus.events() if ev.kind == "batch_exec"]
+        ref_batches += [ev.n for ev in execs if ev.stage == "ref"]
+        tyolo_batches = [ev.n for ev in execs if ev.stage == "tyolo"]
     assert source["frames_rendered"] == 0, f"second run re-rendered stored frames: {source}"
     print(f"offline reference batches: {len(ref_batches)} for {sum(ref_batches)} frames")
     assert max(ref_batches) > 1, f"every offline reference batch was one frame: {ref_batches}"
+    mean_tyolo, cap = sum(tyolo_batches) / len(tyolo_batches), FFSVAConfig().num_t_yolo
+    print(f"second run's T-YOLO batches: {len(tyolo_batches)}, mean {mean_tyolo:.2f} frames")
+    assert mean_tyolo > cap, f"T-YOLO batches average {mean_tyolo:.2f} <= num_t_yolo {cap}"
     paced_run(streams, zoo)
     pooled_runs(streams, zoo)
     assert os.listdir(tmp) == [], f"stored clips left names behind: {os.listdir(tmp)}"

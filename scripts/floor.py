@@ -5,9 +5,11 @@ For each engine workload of the benchmark (sizes imported from
 benchmark does, then measures two things on them:
 
 * the floor: one thread making the same ``StageLogic.evaluate`` calls the
-  engine makes, each stage at its engine batch cap (SDD 16, SNM
-  ``batch_size``, T-YOLO ``num_t_yolo``, the reference 8), survivors of one
-  stage batched into the next and every frame read once with
+  engine makes, each stage at its engine batch cap and fan-in — SDD (16)
+  and SNM (``batch_size``) one stream a call, T-YOLO one round-robin cycle
+  of ``num_t_yolo`` frames per stream a call, the reference ``REF_BATCH``
+  frames of any streams a call — survivors of one stage batched into the
+  next in the order it passed them and every frame read once with
   ``stream.pixels(t)``, with OpenBLAS held at one thread;
 * the engine: ``ThreadedPipeline.run`` on the same streams, offline or
   paced as the workload is.
@@ -38,7 +40,7 @@ sys.path.insert(0, str(ROOT))
 
 from benchmarks.e2e.registry import WORKLOADS, quick  # noqa: E402
 from repro.core import FFSVAConfig  # noqa: E402
-from repro.core.pipeline import arbitration_batch  # noqa: E402
+from repro.core.pipeline import MERGED, SHARED_RR, arbitration_batch  # noqa: E402
 from repro.models import ModelZoo  # noqa: E402
 from repro.runtime import ThreadedPipeline  # noqa: E402
 from repro.runtime.blas import blas_thread_cap, usable_cpus  # noqa: E402
@@ -48,19 +50,34 @@ from repro.video import jackson, make_stream  # noqa: E402
 def floor_pass(streams, zoo, cfg: FFSVAConfig, n_frames: int) -> None:
     """Every frame of every stream through the cascade on this thread."""
     graph = cfg.graph()
-    for stream in streams:
-        bundle = zoo[stream.stream_id]
-        alive = [(t, None) for t in range(min(n_frames, len(stream)))]
-        for spec in graph:
-            cap, survivors = arbitration_batch(spec, cfg), []  # the engine's cap
-            for i in range(0, len(alive), cap):
-                chunk = alive[i : i + cap]
-                if spec is graph.first:
-                    chunk = [(t, stream.pixels(t)) for t, _ in chunk]
-                pixels = np.stack([p for _, p in chunk])
-                passes, _ = spec.logic.evaluate(pixels, [bundle] * len(chunk), zoo, cfg)
-                survivors += [c for c, ok in zip(chunk, passes) if ok]
-            alive = survivors
+    bundles = [zoo[s.stream_id] for s in streams]
+    # (stream, frame, pixels) in the order the previous stage passed them.
+    alive = [(i, t, None) for i, s in enumerate(streams) for t in range(min(n_frames, len(s)))]
+    for spec in graph:
+        survivors = []
+        for batch in batches(spec, alive, arbitration_batch(spec, cfg), len(streams)):
+            if spec is graph.first:
+                batch = [(i, t, streams[i].pixels(t)) for i, t, _ in batch]
+            pixels = np.stack([p for _, _, p in batch])
+            passes, _ = spec.logic.evaluate(pixels, [bundles[i] for i, _, _ in batch], zoo, cfg)
+            survivors += [w for w, ok in zip(batch, passes) if ok]
+        alive = survivors
+
+
+def batches(spec, alive: list, cap: int, n_streams: int):
+    """``alive`` cut into the engine's batches at ``spec``: ``cap`` frames
+    of one stream, a round-robin cycle of ``cap`` per stream (``shared_rr``),
+    or ``cap`` frames in arrival order (``merged``)."""
+    if spec.fan_in == MERGED:
+        yield from (alive[i : i + cap] for i in range(0, len(alive), cap))
+        return
+    per_stream = [[w for w in alive if w[0] == i] for i in range(n_streams)]
+    if spec.fan_in == SHARED_RR:
+        for i in range(0, max(map(len, per_stream), default=0), cap):
+            yield [w for frames in per_stream for w in frames[i : i + cap]]
+        return
+    for frames in per_stream:
+        yield from (frames[i : i + cap] for i in range(0, len(frames), cap))
 
 
 def engine_run(streams, zoo, cfg: FFSVAConfig, n_frames: int, paced_fps) -> None:

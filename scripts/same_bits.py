@@ -9,8 +9,9 @@ left out on purpose: they are the mechanics.
 The ``full`` set is the six registered cascades × {``thread``, ``process``}
 executor × {``snm_fusion`` off, on}, each run offline and paced at 30, 80
 and 300 fps (96 runs).  ``quick`` keeps the thread executor and the
-offline and 80 fps modes (24 runs).  Streams are 2 trained ``jackson``
-clips rendered by ``repro.video``; nothing is downloaded.
+offline and 80 fps modes (24 runs); ``mosaic`` is ``quick`` with
+``tyolo_mosaic`` on.  Streams are 2 trained ``jackson`` clips rendered by
+``repro.video``; nothing is downloaded.
 
     python scripts/same_bits.py --out change.json          # record
     python scripts/same_bits.py --compare parent.json change.json
@@ -41,9 +42,11 @@ from repro.store import DetStoreReader  # noqa: E402
 from repro.video import jackson, make_stream  # noqa: E402
 
 MODES = {"offline": None, "paced30": 30.0, "paced80": 80.0, "paced300": 300.0}
+#: set -> (executors, snm_fusion values, modes, tyolo_mosaic)
 SETS = {
-    "full": (("thread", "process"), (False, True), tuple(MODES)),
-    "quick": (("thread",), (False, True), ("offline", "paced80")),
+    "full": (("thread", "process"), (False, True), tuple(MODES), False),
+    "quick": (("thread",), (False, True), ("offline", "paced80"), False),
+    "mosaic": (("thread",), (False, True), ("offline", "paced80"), True),
 }
 
 
@@ -63,10 +66,13 @@ def trained_streams(n_frames: int):
 
 
 def configs(name: str):
-    executors, fusions, modes = SETS[name]
+    executors, fusions, modes, mosaic = SETS[name]
     for cascade, executor, fusion, mode in product(CASCADES, executors, fusions, modes):
         key = f"{cascade}/{executor}/fusion={'on' if fusion else 'off'}/{mode}"
-        yield key, FFSVAConfig(cascade=cascade, executor=executor, snm_fusion=fusion), MODES[mode]
+        cfg = FFSVAConfig(
+            cascade=cascade, executor=executor, snm_fusion=fusion, tyolo_mosaic=mosaic
+        )
+        yield key + ("/mosaic" if mosaic else ""), cfg, MODES[mode]
 
 
 def record_one(streams, zoo, cfg: FFSVAConfig, fps: float | None) -> dict:

@@ -430,7 +430,8 @@ def _snm_build_fused(bundles, zoo, config):
 
 
 def _tyolo_evaluate(pixels, bundles, zoo, config):
-    counts = zoo.tyolo.count_batch(pixels, bundles[0].background)
+    # A round-robin cycle mixes streams: one call, a background per frame.
+    counts = zoo.tyolo.count_batch(pixels, [b.background for b in bundles])
     return count_filter_mask(counts, config.number_of_objects, config.relax), counts
 
 
@@ -466,11 +467,7 @@ def _tyolo_build_fused(bundles, zoo, config):
         # ``degrees`` is accepted for call-site uniformity with the fused
         # SNM evaluator; the mosaic detector has no SNM threshold to vary.
         n = len(pixels)
-        stream_idx = np.asarray(stream_idx)
-        cells = np.empty((n, grid, grid), dtype=np.float32)
-        for s in np.unique(stream_idx):
-            mask = stream_idx == s
-            cells[mask] = det.response_cells(pixels[mask], bundles[s].background)
+        cells = det.response_cells(pixels, [bundles[s].background for s in stream_idx])
         proposed = det.propose_regions(cells)
         regions = [
             Region(i, int(b[0]), int(b[1]), int(b[2]), int(b[3]))
@@ -491,21 +488,9 @@ def _tyolo_mask(trace, config):
 
 
 def _ref_evaluate(pixels, bundles, zoo, config):
-    # A merged batch interleaves streams: one detector call per stream (its
-    # frames share a bundle, and so a background).  A stream whose frames
-    # are one run is served from a view of the batch; only scattered frames
-    # are gathered (the threaded engine hands the stage stream-sorted runs).
-    n = len(pixels)
-    counts = np.empty(n, dtype=np.int64)
-    rows: dict[int, list[int]] = {}
-    for i, bundle in enumerate(bundles):
-        rows.setdefault(id(bundle), []).append(i)
-    for sel in rows.values():
-        first, last = sel[0], sel[-1]
-        if last - first + 1 == len(sel):
-            sel = slice(first, last + 1)
-        counts[sel] = zoo.reference.count_batch(pixels[sel], bundles[first].background)
-    return np.ones(n, dtype=bool), counts
+    # A merged batch interleaves streams: one call, a background per frame.
+    counts = zoo.reference.count_batch(pixels, [b.background for b in bundles])
+    return np.ones(len(pixels), dtype=bool), counts
 
 
 def _all_pass_mask(trace, config):
@@ -546,9 +531,9 @@ def tyolo_spec() -> StageSpec:
 
 
 #: Most frames the reference stage takes from its queue at once; it never
-#: waits for more.  The detector's cost per frame bottoms out at 4-8 frames
-#: a call and climbs again past 16 (DESIGN.md section 23).
-REF_BATCH = 8
+#: waits for more.  One detector call serves the whole batch, whatever its
+#: streams; 16 led the in-run sweep over 8-32 (DESIGN.md section 25).
+REF_BATCH = 16
 
 
 def ref_spec() -> StageSpec:

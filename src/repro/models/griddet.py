@@ -39,6 +39,7 @@ appearances — the other documented error mode).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,12 @@ from ..video.ops import (
     resize_bilinear,
 )
 
-__all__ = ["Detection", "GridDetector", "classify_kind"]
+__all__ = ["Backgrounds", "Detection", "GridDetector", "classify_kind"]
+
+#: A detector call's scene reference: one ``(H, W)`` background for the
+#: whole batch, or a sequence of them, one per frame (a batch that mixes
+#: streams).
+Backgrounds = np.ndarray | Sequence[np.ndarray]
 
 
 def _merge_overlaps(boxes) -> np.ndarray:
@@ -176,11 +182,13 @@ class GridDetector:
         # id(background) -> (background, resized, median of resized), one
         # entry per stream sharing this detector.
         self._bg_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
-        self._resized: np.ndarray | None = None  # steady-state resize buffer
+        #: Steady-state workspace, ``(3, frames, resolution, resolution)``:
+        #: the resized chunk, the median's partition copy and the deviation.
+        self._work: np.ndarray | None = None
 
     def release(self) -> None:
-        """Drop the batch-sized resize buffer; it re-grows on first use."""
-        self._resized = None
+        """Drop the chunk-sized workspace; it re-grows on first use."""
+        self._work = None
 
     # ------------------------------------------------------------------
     def _resized_background(
@@ -203,32 +211,68 @@ class GridDetector:
             self._bg_cache[id(background)] = entry
         return entry
 
-    def response_cells(self, frames: np.ndarray, background: np.ndarray) -> np.ndarray:
+    def response_cells(self, frames: np.ndarray, background: Backgrounds) -> np.ndarray:
         """Normalized per-cell foreground response, ``(N, grid, grid)``.
 
-        Vectorized over the batch; this is the detector's hot path.
+        Vectorized over the batch, whose frames may each bring their own
+        background; this is the detector's hot path.
         """
         batch = np.asarray(frames, dtype=np.float32)
         single = batch.ndim == 2
         if single:
             batch = batch[None]
-        res = self.resolution
+        backgrounds = self._per_frame(background, len(batch))
+        g = self.grid
+        cells = np.empty((len(batch), g, g), dtype=np.float32)
+        for start in range(0, len(batch), FRAME_CHUNK):
+            stop = start + FRAME_CHUNK
+            cells[start:stop] = self._chunk_cells(batch[start:stop], backgrounds[start:stop])
+        return cells[0] if single else cells
+
+    @staticmethod
+    def _per_frame(background: Backgrounds, n: int) -> list:
+        """``background`` as one array per frame of an ``n``-frame batch."""
+        if isinstance(background, np.ndarray):
+            return [background] * n
+        backgrounds = list(background)
+        if len(backgrounds) != n:
+            raise ValueError(f"{len(backgrounds)} backgrounds for {n} frames")
+        return backgrounds
+
+    def _chunk_cells(self, batch: np.ndarray, backgrounds: list) -> np.ndarray:
+        """:meth:`response_cells` of at most :data:`FRAME_CHUNK` frames.
+
+        Everything as large as the resized chunk lives in the workspace,
+        grown to the largest chunk seen and sliced (batch sizes vary from
+        call to call, and a buffer per size would churn the heap); the
+        arithmetic runs in place there.  A run of frames that share a
+        background shares one multiply.
+        """
+        n, res = len(batch), self.resolution
+        work = self._work
+        if work is None or work.shape[1] < n:
+            work = self._work = np.empty((3, n, res, res), dtype=np.float32)
+        resized, part, dev = work[0, :n], work[1, :n], work[2, :n]
         plan = get_resize_plan(batch.shape[1:], (res, res))
         if plan.identity:
             resized = batch
         else:
-            # Grown to the largest batch seen and sliced: batch sizes vary
-            # from call to call, and a buffer per size would churn the heap.
-            n, buf = batch.shape[0], self._resized
-            if buf is None or len(buf) < n:
-                buf = self._resized = np.empty((n, res, res), dtype=np.float32)
-            resized = plan.apply(batch, out=buf[:n])
-        _, bg, bg_med = self._resized_background(background)
-        # Global multiplicative lighting correction per frame.
-        gain = (frame_median(resized) / bg_med)[:, None, None].astype(np.float32)
-        resp = np.abs(resized - bg[None] * gain)
-        cells = block_reduce_mean(resp, self.cell) / _RESPONSE_SCALE
-        return cells[0] if single else cells
+            plan.apply(batch, out=resized)
+        med = frame_median(resized, part)
+        start = 0
+        while start < n:
+            bg = backgrounds[start]
+            stop = start + 1
+            while stop < n and backgrounds[stop] is bg:
+                stop += 1
+            _, bg_res, bg_med = self._resized_background(bg)
+            # Global multiplicative lighting correction per frame.
+            gain = (med[start:stop] / bg_med)[:, None, None].astype(np.float32)
+            np.multiply(bg_res[None], gain, out=dev[start:stop])
+            start = stop
+        np.subtract(resized, dev, out=dev)
+        np.abs(dev, out=dev)
+        return block_reduce_mean(dev, self.cell) / _RESPONSE_SCALE
 
     def cell_blobs(self, cells: np.ndarray) -> list[tuple[tuple[int, int, int, int], float]]:
         """Connected active-cell blobs of one response map, above threshold.
@@ -335,13 +379,13 @@ class GridDetector:
         return detections
 
     # ------------------------------------------------------------------
-    def detect(self, frame: np.ndarray, background: np.ndarray) -> list[Detection]:
+    def detect(self, frame: np.ndarray, background: Backgrounds) -> list[Detection]:
         """Detect objects in a single ``(H, W)`` frame."""
         cells = self.response_cells(frame, background)
         return self._detect_from_cells(cells, frame.shape[-2:])
 
     def detect_batch(
-        self, frames: np.ndarray, background: np.ndarray
+        self, frames: np.ndarray, background: Backgrounds
     ) -> list[list[Detection]]:
         """Detect objects in an ``(N, H, W)`` batch."""
         cells = self.response_cells(frames, background)
@@ -349,19 +393,19 @@ class GridDetector:
         return [self._detect_from_cells(c, hw) for c in cells]
 
     def count(
-        self, frame: np.ndarray, background: np.ndarray, kind: str | None = None
+        self, frame: np.ndarray, background: Backgrounds, kind: str | None = None
     ) -> int:
         """Number of detections (optionally restricted to ``kind``)."""
         return int(self.count_batch(np.asarray(frame)[None], background, kind)[0])
 
     def count_batch(
-        self, frames: np.ndarray, background: np.ndarray, kind: str | None = None
+        self, frames: np.ndarray, background: Backgrounds, kind: str | None = None
     ) -> np.ndarray:
         """Vector of per-frame detection counts for an ``(N, H, W)`` batch."""
         return self._count(frames, background, kind, regions=False)[0]
 
     def count_and_regions(
-        self, frames: np.ndarray, background: np.ndarray, kind: str | None = None
+        self, frames: np.ndarray, background: Backgrounds, kind: str | None = None
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Per-frame counts plus proposed ROIs from one response pass.
 
@@ -372,14 +416,16 @@ class GridDetector:
         return self._count(frames, background, kind, regions=True)
 
     def _count(
-        self, frames: np.ndarray, background: np.ndarray, kind: str | None, regions: bool
+        self, frames: np.ndarray, background: Backgrounds, kind: str | None, regions: bool
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Counts (and ROIs if asked) of ``frames``, :data:`FRAME_CHUNK` at a time."""
         frames = np.asarray(frames)
+        backgrounds = self._per_frame(background, len(frames))
         counts = np.empty(len(frames), dtype=np.int64)
         rois: list[np.ndarray] = []
         for start in range(0, len(frames), FRAME_CHUNK):
-            cells = self.response_cells(frames[start : start + FRAME_CHUNK], background)
+            stop = start + FRAME_CHUNK
+            cells = self.response_cells(frames[start:stop], backgrounds[start:stop])
             labels, n_labels = self._label(cells)
             if kind is None:
                 chunk = self._blob_counts(cells, labels, n_labels)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .griddet import Detection, GridDetector
+from .griddet import Backgrounds, Detection, GridDetector
 
 __all__ = ["ReferenceModel"]
 
@@ -48,7 +48,7 @@ class ReferenceModel:
         return self.detector.count(frame, background, kind)
 
     def count_batch(
-        self, frames: np.ndarray, background: np.ndarray, kind: str | None = None
+        self, frames: np.ndarray, background: Backgrounds, kind: str | None = None
     ) -> np.ndarray:
         """Per-frame detected counts for a batch."""
         return self.detector.count_batch(frames, background, kind)

@@ -94,11 +94,11 @@ class SDD:
         if plan.identity:
             resized = batch
         else:
-            buf = self._resized
-            shape = (batch.shape[0], *SDD_INPUT)
-            if buf is None or buf.shape != shape:
-                buf = self._resized = np.empty(shape, dtype=np.float32)
-            resized = plan.apply(batch, out=buf)
+            # Grown to the largest batch seen and sliced, as the detectors'.
+            n, buf = batch.shape[0], self._resized
+            if buf is None or len(buf) < n:
+                buf = self._resized = np.empty((n, *SDD_INPUT), dtype=np.float32)
+            resized = plan.apply(batch, out=buf[:n])
         return self._metric_fn(resized, self.reference)
 
     def passes(self, frames: np.ndarray) -> np.ndarray:

@@ -156,11 +156,11 @@ class SNM:
         if plan.identity:
             resized = batch
         else:
-            buf = self._resized
-            shape = (batch.shape[0], s, s)
-            if buf is None or buf.shape != shape:
-                buf = self._resized = np.empty(shape, dtype=np.float32)
-            resized = plan.apply(batch, out=buf)
+            # Grown to the largest batch seen and sliced, as the detectors'.
+            n, buf = batch.shape[0], self._resized
+            if buf is None or len(buf) < n:
+                buf = self._resized = np.empty((n, s, s), dtype=np.float32)
+            resized = plan.apply(batch, out=buf[:n])
         bg = self._bg_small
         gain = (frame_median(resized) / self._bg_med)[:, None, None]
         diff = (resized - bg[None] * gain) / _DIFF_SCALE

@@ -16,7 +16,11 @@ hosts in the kernel's ``stage_order`` (the simulator's
 batch outside the lock.  A ``gpu``-kind device runs one batch
 at a time, a ``cpu``-kind one a batch per worker but one per *worker key* —
 ``(stage, stream)`` for a ``per_stream`` stage, else the stage — so each
-stream's frames enter every stage in order.  Stage inputs are the
+stream's frames enter every stage in order.  A batch may still mix
+streams: a ``shared_rr`` stage (T-YOLO) takes one round-robin cycle, up to
+``num_t_yolo`` frames from each stream in turn, and a merged stage (the
+reference) what its queue holds; each is one detector call, a background
+per frame (DESIGN.md §25).  Stage inputs are the
 simulator's bounded :class:`~repro.core.queues.SimQueue` s; a survivor
 whose queue is full waits in its key's out-buffer, and the key starts
 nothing until that drains — Section 4.3.1's feedback without a blocked
@@ -51,6 +55,7 @@ from ..core.pipeline import (
     FUSED,
     MERGED,
     PER_STREAM,
+    SHARED_RR,
     SNM,
     STAGES,
     StageGraph,
@@ -395,13 +400,19 @@ class ThreadedPipeline:
     def _take(self, spec: StageSpec) -> _Job | None:
         """Pop ``spec``'s next ready batch for a worker key that is neither
         running a batch nor holding survivors, or None.  Per-stream inputs
-        are visited round-robin from the stage's cursor: one stream per
-        batch, except at a ``fused`` stage."""
+        are visited round-robin from the stage's cursor: a ``shared_rr``
+        batch is one cycle over them all, a ``fused`` one what
+        ``decide_fused_batch`` takes, any other one stream's."""
         name, inputs = spec.name, self._inputs[spec.name]
         if spec.fan_in != PER_STREAM and (name in self._jobs or name in self._held):
             return None
-        if spec.fan_in == FUSED or (spec.fan_in == MERGED and spec is not self.graph.first):
-            works = self._pop_fused(spec) if spec.fan_in == FUSED else self._pop(spec, 0, None)
+        if self._mixes_streams(spec):
+            if spec.fan_in == FUSED:
+                works = self._pop_fused(spec)
+            elif spec.fan_in == SHARED_RR:
+                works = self._pop_cycle(spec)
+            else:  # a merged stage's one queue
+                works = self._pop(spec, 0, None)
             return _Job(spec, name, works) if works else None
         rr = self._rr[name]
         for off in range(len(inputs)):
@@ -415,6 +426,14 @@ class ThreadedPipeline:
                 return _Job(spec, key, works)
         return None
 
+    def _mixes_streams(self, spec: StageSpec) -> bool:
+        """Can one batch at ``spec`` hold several streams' frames?  A first
+        stage that pools its feeds takes one stream's at a time, unless it
+        is ``fused`` or ``shared_rr``."""
+        if spec.fan_in == MERGED:
+            return spec is not self.graph.first
+        return spec.fan_in in (FUSED, SHARED_RR)
+
     def _pop(self, spec: StageSpec, i: int, stream_idx: int | None) -> list:
         """A batch from input ``i``: a feed's next chunk, or up to the
         stage's batch from a queue, which below the batch floor waits until
@@ -427,6 +446,18 @@ class ThreadedPipeline:
         if n == 0 or (n < floor and not self._drained(spec, stream_idx)):
             return []
         return q.pop_batch(take)
+
+    def _pop_cycle(self, spec: StageSpec) -> list:
+        """One round-robin cycle (paper §3.2.3): every stream's input in
+        turn from the stage's cursor, each popped as a lone batch would be
+        (up to the stage's take, its floor and drain rule); the cursor moves
+        one stream on per cycle."""
+        inputs, rr = self._inputs[spec.name], self._rr[spec.name]
+        order = [(rr + off) % len(inputs) for off in range(len(inputs))]
+        works = [w for s in order for w in self._pop(spec, s, s)]
+        if works:
+            self._rr[spec.name] = (rr + 1) % len(inputs)
+        return works
 
     def _pop_fused(self, spec: StageSpec) -> list:
         """A cross-stream mega-batch: the simulator's ``decide_fused_batch``
@@ -565,12 +596,12 @@ class ThreadedPipeline:
         if first:
             works = job.works = self._render(works)
         groups = [works]
-        if spec.fan_in == FUSED or (spec.fan_in == MERGED and not first):
+        if self._mixes_streams(spec):
             if spec.terminal:
                 # Sorted (stably) by stream, each stream is one run of the
-                # stacked pixels, which the reference reads as a view (one
-                # detector call per stream).  A terminal stage feeds no
-                # queue whose order this could change.
+                # batch, whose frames share one background multiply in the
+                # reference's single detector call.  A terminal stage feeds
+                # no queue whose order this could change.
                 works = sorted(works, key=lambda w: w.stream_idx)
             by_shape: dict[tuple, list[_Work]] = {}
             for w in works:
@@ -650,9 +681,7 @@ class ThreadedPipeline:
         elif spec.fan_in == FUSED:
             passes, info = self._evaluate_fused(spec, pixels, works, cfg, degrees)
         else:
-            # A per_stream / shared_rr batch is one stream's: one bundle.
-            lead = None if spec.fan_in == MERGED else works[0].stream_idx
-            bundles = [self.ctxs[w.stream_idx if lead is None else lead].bundle for w in works]
+            bundles = [self.ctxs[w.stream_idx].bundle for w in works]
             passes, info = spec.logic.evaluate(pixels, bundles, self.zoo, cfg)
         t_done = self._now()
         if pool is None:

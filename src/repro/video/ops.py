@@ -243,7 +243,7 @@ def resize_bilinear(
     return out[0] if single else out
 
 
-def frame_median(batch: np.ndarray) -> np.ndarray:
+def frame_median(batch: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Per-frame median of an ``(N, H, W)`` float32 batch, as ``(N,)``.
 
     Equal to ``np.median(batch, axis=(1, 2))`` for **finite** input at a
@@ -252,10 +252,20 @@ def frame_median(batch: np.ndarray) -> np.ndarray:
     counts (``np.median`` selects both middles and a NaN sentinel in one
     three-``kth`` pass).  NaNs are not propagated — callers pass rendered
     or resized frames, which are finite.
+
+    The selection runs on a copy of ``batch``: a fresh one, or ``scratch``
+    (a C-contiguous float32 array of ``batch``'s shape, overwritten) when
+    given.  ``np.partition`` copies and partitions in place the same way,
+    so the result does not depend on which.
     """
     flat = batch.reshape(len(batch), -1)
     k = flat.shape[1] // 2
-    part = np.partition(flat, k, axis=1)
+    if scratch is None:
+        part = np.partition(flat, k, axis=1)
+    else:
+        part = scratch.reshape(flat.shape)
+        np.copyto(part, flat)
+        part.partition(k, axis=1)
     upper = part[:, k]
     if flat.shape[1] % 2:
         return upper.copy()  # not a view that pins the partitioned copy

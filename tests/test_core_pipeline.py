@@ -9,6 +9,7 @@ from repro.core.pipeline import (
     MERGED,
     PER_STREAM,
     REF,
+    REF_BATCH,
     SDD,
     SHARED_RR,
     SNM,
@@ -216,7 +217,7 @@ class TestBatchHelpers:
         cfg = FFSVAConfig(num_t_yolo=3)
         assert effective_batch(tyolo_spec(), cfg) == 3
         assert effective_batch(sdd_spec(), cfg) == 16
-        assert effective_batch(ref_spec(), cfg) == 8
+        assert effective_batch(ref_spec(), cfg) == REF_BATCH
 
     def test_arbitration_batch(self):
         cfg = FFSVAConfig(batch_size=7, num_t_yolo=2)
@@ -226,7 +227,7 @@ class TestBatchHelpers:
 
 
 class TestReferenceBatch:
-    def test_interleaved_batch_one_detector_call_per_stream(self):
+    def test_interleaved_batch_one_detector_call_per_batch(self):
         from types import SimpleNamespace
 
         from repro.models.reference import ReferenceModel
@@ -242,7 +243,7 @@ class TestReferenceBatch:
 
         class Counting:
             def count_batch(self, frames, background):
-                calls.append((len(frames), np.shares_memory(frames, pixels)))
+                calls.append((len(frames), frames is pixels, len(background)))
                 return ref.count_batch(frames, background)
 
         passes, counts = ref_spec().logic.evaluate(
@@ -252,14 +253,8 @@ class TestReferenceBatch:
         assert any(oracle)
         assert passes.tolist() == [True] * 7
         assert counts.tolist() == oracle
-        assert sorted(n for n, _ in calls) == [3, 4]
-
-        # Stream-sorted runs, as the threaded engine hands them, are views.
-        calls.clear()
-        ref_spec().logic.evaluate(
-            pixels[:4], batch_bundles[:4], SimpleNamespace(reference=Counting()), FFSVAConfig()
-        )
-        assert calls == [(2, True), (2, True)]
+        # The whole interleaved batch, in place, with a background per frame.
+        assert calls == [(7, True, 7)]
 
     def test_planner_costs_the_paper_reference_one_frame_a_call(self):
         from repro.core.pipeline import call_batch, stage_per_frame_time

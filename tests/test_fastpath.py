@@ -197,6 +197,14 @@ class TestFrameMedian:
         frame_median(batch)
         assert np.array_equal(batch, before)
 
+    def test_scratch_copy_gives_the_same_bits(self):
+        batch = np.random.default_rng(13).random((3, 8, 9), dtype=np.float32)
+        before = batch.copy()
+        scratch = np.empty_like(batch)
+        got = frame_median(batch, scratch)
+        assert np.array_equal(got.view(np.uint32), frame_median(batch).view(np.uint32))
+        assert np.array_equal(batch, before)
+
 
 class TestBlockReduceMean:
     @settings(max_examples=150, deadline=None)
@@ -304,7 +312,73 @@ class TestBatchedBlobCount:
         want = [det.count(f, bg) for f in frames]
         assert 0 < sum(want) < len(frames)
         assert det.count_batch(frames, bg).tolist() == want
-        assert len(det._resized) <= FRAME_CHUNK
+        assert det._work.shape[1] <= FRAME_CHUNK
+
+
+def _two_scene_frames(n: int, hw=(40, 60), seed: int = 16):
+    """Backgrounds A and B and ``n`` frames interleaved A,B,A,B,A...: each
+    frame its scene's background, lit differently, a third with a blob."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.3, 0.6, hw).astype(np.float32)
+    b = rng.uniform(0.2, 0.7, hw).astype(np.float32)
+    backgrounds = [(a, b)[i % 2] for i in range(n)]
+    frames = np.stack([bg * np.float32(rng.uniform(0.8, 1.2)) for bg in backgrounds])
+    for i in range(0, n, 3):
+        y, x = rng.integers(0, hw[0] - 12), rng.integers(0, hw[1] - 12)
+        frames[i, y : y + 12, x : x + 12] += 0.4
+    return frames, backgrounds
+
+
+class TestPerFrameBackgrounds:
+    """A detector call over frames of several streams, one background per
+    frame, returns the bits of one call per frame."""
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 2 * FRAME_CHUNK + 7])
+    @pytest.mark.parametrize("resolution", [52, 40])  # 40: the identity plan
+    def test_interleaved_streams_match_single_frame_calls(self, n, resolution):
+        det = GridDetector(grid=13 if resolution == 52 else 10, resolution=resolution)
+        frames, backgrounds = _two_scene_frames(n, hw=(40, 40) if resolution == 40 else (40, 60))
+        before = frames.copy()
+        cells = det.response_cells(frames, backgrounds)
+        want = np.stack([det.response_cells(f, bg) for f, bg in zip(frames, backgrounds)])
+        assert np.array_equal(cells.view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(frames, before)  # the identity plan reads the input in place
+        counts = det.count_batch(frames, backgrounds)
+        assert counts.tolist() == [det.count(f, bg) for f, bg in zip(frames, backgrounds)]
+        assert 0 < counts.sum()
+        for kind in ("car", "person"):
+            want_kind = [det.count(f, bg, kind) for f, bg in zip(frames, backgrounds)]
+            assert det.count_batch(frames, backgrounds, kind).tolist() == want_kind
+
+    def test_one_background_and_a_repeated_list_agree(self):
+        det = GridDetector(grid=13, resolution=52)
+        frames, backgrounds = _two_scene_frames(9)
+        one = det.response_cells(frames, backgrounds[0])
+        listed = det.response_cells(frames, [backgrounds[0]] * len(frames))
+        assert np.array_equal(one.view(np.uint32), listed.view(np.uint32))
+        with pytest.raises(ValueError, match="backgrounds for"):
+            det.count_batch(frames, backgrounds[:-1])
+
+    @pytest.mark.parametrize("model", ["tyolo", "reference"])
+    def test_a_call_allocates_less_than_its_resized_batch(self, model):
+        import tracemalloc
+
+        from repro.models.reference import ReferenceModel
+        from repro.models.tyolo import TYolo
+
+        det = (TYolo() if model == "tyolo" else ReferenceModel()).detector
+        frames, backgrounds = _two_scene_frames(16, hw=(100, 150))
+        det.count_batch(frames, backgrounds)  # warm-up: workspace, plan scratch, backgrounds
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            det.count_batch(frames, backgrounds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        resized_bytes = 16 * det.resolution**2 * 4
+        assert peak < 0.75 * resized_bytes, (peak, resized_bytes)
 
 
 class TestIm2ColOut:
@@ -459,7 +533,7 @@ class TestModelLevelEquality:
             np.copyto(out, res)
             return out
 
-        def plain_median(batch):
+        def plain_median(batch, scratch=None):
             used.add("median")
             return np.median(batch, axis=(1, 2))
 

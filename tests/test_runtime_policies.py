@@ -82,8 +82,9 @@ class TestOnlineThreaded:
 
 
 class TestReferenceBatching:
-    """The reference stage takes what its queue holds (up to its cap); the
-    results are those of a one-frame reference, frame for frame."""
+    """The reference stage takes what its queue holds (up to its cap) and
+    T-YOLO one round-robin cycle over the streams, each batch one detector
+    call; the results are those of a one-frame reference, frame for frame."""
 
     @pytest.fixture(scope="class")
     def hightor(self):
@@ -153,3 +154,53 @@ class TestReferenceBatching:
                 o = by_frame[(s.stream_id, i)]
                 assert o.stage == "ref"
                 assert o.ref_count == zoo.reference.count(s.pixels(i), background)
+
+    def test_tyolo_batch_is_one_round_robin_cycle(self, hightor):
+        from collections import Counter
+
+        from repro.obs import Telemetry
+
+        streams, zoo = hightor
+        tel = Telemetry()
+        cfg = FFSVAConfig(filter_degree=0.9)
+        pipe = ThreadedPipeline(streams, zoo, cfg, telemetry=tel)
+        m = pipe.run(n_frames=160)
+        assert len(pipe.outcomes) == m.frames_offered
+        batches: dict[str, dict[tuple, list]] = {"tyolo": {}, "ref": {}}
+        order: dict[str, dict[int, list]] = {"tyolo": {}, "ref": {}}
+        for ev in tel.bus.events():
+            if ev.kind in ("frame_pass", "frame_filter") and ev.stage in batches:
+                batches[ev.stage].setdefault((ev.t_start, ev.ts), []).append(ev.stream)
+                order[ev.stage].setdefault(ev.stream, []).append(ev.frame)
+        tyolo = list(batches["tyolo"].values())
+        assert any(len(set(b)) == 2 for b in tyolo), tyolo
+        assert max(max(Counter(b).values()) for b in tyolo) <= cfg.num_t_yolo
+        # Each stream's frames still reach both detectors in index order.
+        for stage, per_stream in order.items():
+            assert set(per_stream) == {0, 1}, stage
+            for frames in per_stream.values():
+                assert frames == sorted(frames), stage
+
+    def test_two_resolutions_through_the_default_cascade(self):
+        from repro.video import coral, make_stream
+
+        streams = [
+            make_stream(jackson(), 80, tor=0.9, seed=3, stream_id="jackson"),
+            make_stream(coral(), 80, tor=0.9, seed=4, stream_id="coral"),
+        ]
+        zoo = ModelZoo()
+        for s in streams:
+            zoo.train_for_stream(
+                s, n_train_frames=60, stride=2, train_config=TrainConfig(epochs=2, batch_size=32, seed=5)
+            )
+        # T-YOLO cycles and reference batches both mix the two frame shapes.
+        pipe = ThreadedPipeline(streams, zoo, FFSVAConfig(filter_degree=0.9))
+        m = pipe.run(n_frames=80)
+        assert len(pipe.outcomes) == 160
+        analyzed = [o for o in pipe.outcomes if o.stage == "ref"]
+        assert m.frames_to_ref == len(analyzed)
+        assert {o.stream_id for o in analyzed} == {"jackson", "coral"}
+        by_id = {s.stream_id: s for s in streams}
+        for o in analyzed:
+            pixels = by_id[o.stream_id].pixels(o.index)
+            assert o.ref_count == zoo.reference.count(pixels, zoo[o.stream_id].background)
