@@ -1,5 +1,5 @@
 """CI smoke test for the threaded engine's thread budget, stored source,
-reference batching and paced hold.
+reference batching, paced hold and peer wakes.
 
 Runs a 2-stream, 120-frame ``ThreadedPipeline`` on the default cascade twice,
 under a private empty ``TMPDIR``, then once paced at 80 fps, then the same
@@ -9,6 +9,11 @@ streams on the ``tyolo-only`` cascade offline and paced, and prints
 * a default-cascade or ``tyolo-only`` run did not start exactly one worker
   per usable CPU (the engine's workers serve every stage and stream; a
   thread per stage, stream or source would show here),
+* an offline run reports 0 ``extra["engine"]["peer_wakes"]`` (offline, a
+  worker that starts a batch wakes an idle peer every time), or the paced
+  80 fps run reports more peer wakes than a quarter of its batches (paced,
+  it wakes one only when waiting work is late, so a batch's cascade stays
+  on the worker that started it),
 * an OpenBLAS is mapped into the process but ``runtime/blas.py`` capped no
   library — a numpy/scipy build whose symbol spelling the cap does not know
   would otherwise show up only as a silent loss of the measured gain,
@@ -72,6 +77,7 @@ def run_twice(tmp: str) -> dict:
         print(f"{attempt} run: engine {engine}, source {source}")
         assert len(pipe.outcomes) == m.frames_offered == source["frames_read"] == 240
         assert engine["worker_threads"] == usable_cpus(), f"expected a worker per CPU: {engine}"
+        assert engine["peer_wakes"] > 0, f"an offline run woke no peer: {engine}"
         execs = [ev for ev in tel.bus.events() if ev.kind == "batch_exec"]
         ref_batches += [ev.n for ev in execs if ev.stage == "ref"]
         tyolo_batches = [ev.n for ev in execs if ev.stage == "tyolo"]
@@ -95,9 +101,14 @@ def paced_run(streams, zoo, fps: float = 80.0) -> None:
     engine, hold = m.extra["engine"], paced_hold(fps, 16)
     print(f"paced run: engine {engine}")
     assert engine.get("paced_hold") == hold, f"expected paced_hold {hold}: {engine}"
+    execs = [ev for ev in tel.bus.events() if ev.kind == "batch_exec"]
+    print(f"paced run: {engine['peer_wakes']} peer wakes for {len(execs)} batches")
+    assert engine["peer_wakes"] <= len(execs) / 4, (
+        f"{engine['peer_wakes']} peer wakes for {len(execs)} paced batches"
+    )
     sizes: dict[int, list[int]] = {}
-    for ev in tel.bus.events():
-        if ev.kind == "batch_exec" and ev.stage == "sdd":
+    for ev in execs:
+        if ev.stage == "sdd":
             sizes.setdefault(ev.stream, []).append(ev.n)
     assert len(sizes) == 2 and sum(map(sum, sizes.values())) == 240, sizes
     for stream, batch in sizes.items():

@@ -10,7 +10,11 @@ benchmark does, then measures two things on them:
   of ``num_t_yolo`` frames per stream a call, the reference ``REF_BATCH``
   frames of any streams a call — survivors of one stage batched into the
   next in the order it passed them and every frame read once with
-  ``stream.pixels(t)``, with OpenBLAS held at one thread;
+  ``stream.pixels(t)``, with OpenBLAS held at one thread.  For a paced
+  workload the floor serves each stream's ``paced_hold(fps, cap)``-frame
+  first-stage batches through the whole cascade as they come due and
+  sleeps on the due clock between them, so the cost of a call made after
+  an idle gap counts in the floor too, not as engine overhead;
 * the engine: ``ThreadedPipeline.run`` on the same streams, offline or
   paced as the workload is.
 
@@ -21,7 +25,7 @@ after one untimed pass that stores every clip.
 
     python scripts/floor.py                           # every engine workload
     python scripts/floor.py --workload offline-lowtor --repeats 5
-    python scripts/floor.py --quick                   # tiny sizes (CI)
+    python scripts/floor.py --quick                   # tiny sizes (CI, ~10 s)
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import argparse
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +45,7 @@ sys.path.insert(0, str(ROOT))
 
 from benchmarks.e2e.registry import WORKLOADS, quick  # noqa: E402
 from repro.core import FFSVAConfig  # noqa: E402
+from repro.core.batching import paced_hold  # noqa: E402
 from repro.core.pipeline import MERGED, SHARED_RR, arbitration_batch  # noqa: E402
 from repro.models import ModelZoo  # noqa: E402
 from repro.runtime import ThreadedPipeline  # noqa: E402
@@ -49,10 +55,34 @@ from repro.video import jackson, make_stream  # noqa: E402
 
 def floor_pass(streams, zoo, cfg: FFSVAConfig, n_frames: int) -> None:
     """Every frame of every stream through the cascade on this thread."""
+    alive = [(i, t, None) for i, s in enumerate(streams) for t in range(min(n_frames, len(s)))]
+    cascade_pass(streams, zoo, cfg, alive)
+
+
+def paced_floor_pass(streams, zoo, cfg: FFSVAConfig, n_frames: int, fps: float) -> None:
+    """Each stream's first-stage batches of ``paced_hold(fps, cap)`` frames
+    through the whole cascade as they come due, sleeping on the due clock
+    between them: frame ``t`` is due ``t / fps`` after the start, and a
+    batch when its last frame is."""
+    cap = arbitration_batch(cfg.graph().first, cfg)
+    hold = paced_hold(fps, cap)
+    due = sorted(
+        ((min(t + hold, n) - 1) / fps, i, t, min(t + hold, n))
+        for i, n in enumerate(min(n_frames, len(s)) for s in streams)
+        for t in range(0, n, hold)
+    )
+    t0 = time.monotonic()
+    for at, i, start, stop in due:
+        time.sleep(max(0.0, t0 + at - time.monotonic()))
+        cascade_pass(streams, zoo, cfg, [(i, t, None) for t in range(start, stop)])
+
+
+def cascade_pass(streams, zoo, cfg: FFSVAConfig, alive: list) -> None:
+    """``alive`` ``(stream, frame, None)`` triples through the cascade on
+    this thread, each stage's survivors batched into the next in the order
+    it passed them."""
     graph = cfg.graph()
     bundles = [zoo[s.stream_id] for s in streams]
-    # (stream, frame, pixels) in the order the previous stage passed them.
-    alive = [(i, t, None) for i, s in enumerate(streams) for t in range(min(n_frames, len(s)))]
     for spec in graph:
         survivors = []
         for batch in batches(spec, alive, arbitration_batch(spec, cfg), len(streams)):
@@ -106,10 +136,13 @@ def measure(w, seed: int, repeats: int) -> dict:
     frames = sum(min(w.run_frames, len(s)) for s in streams)
     floor_pass(streams, zoo, cfg, w.run_frames)  # stores every clip
     floor, engine = [], []
+    floor_args = (floor_pass, streams, zoo, cfg, w.run_frames)
+    if w.paced_fps is not None:
+        floor_args = (paced_floor_pass, streams, zoo, cfg, w.run_frames, w.paced_fps)
     for _ in range(repeats):
         # One BLAS thread: blas_thread_cap(n) keeps usable_cpus // n.
         with blas_thread_cap(usable_cpus()):
-            floor.append(timed(floor_pass, streams, zoo, cfg, w.run_frames))
+            floor.append(timed(*floor_args))
         engine.append(timed(engine_run, streams, zoo, cfg, w.run_frames, w.paced_fps))
 
     def per_frame(runs) -> tuple[float, float]:
@@ -138,7 +171,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     chosen = [w for w in engine_workloads if not args.workload or w.name in args.workload]
     if args.quick:
-        chosen, args.repeats = [quick(w) for w in chosen[:1]], 1
+        # The first workload, plus a paced one cut to 80 frames a stream
+        # (a second at 80 fps), so that the paced floor runs too.
+        paced = [replace(quick(w), run_frames=80) for w in chosen[1:] if w.paced_fps]
+        chosen, args.repeats = [quick(w) for w in chosen[:1]] + paced[:1], 1
     print(f"{usable_cpus()} usable CPUs, median of {args.repeats}")
     print(f"{'workload':<16} {'floor ms/f':>10} {'engine ms/f':>11} {'ratio':>6} "
           f"{'floor fps':>9} {'engine fps':>10}")

@@ -391,7 +391,8 @@ def _cmd_analyze(args) -> int:
     engine = m.extra["engine"]
     print(f"processed {m.frames_ingested} frames in {m.duration:.1f}s "
           f"({m.throughput_fps:.0f} FPS real compute, {engine['worker_threads']} worker "
-          f"threads, BLAS capped at {engine['blas_threads']} in {engine['blas_libs']} libs)")
+          f"threads, {engine['peer_wakes']} peer wakes, BLAS capped at "
+          f"{engine['blas_threads']} in {engine['blas_libs']} libs)")
     for spec in config.graph():
         c = m.stages[spec.name]
         print(f"  {spec.name:>6}: executed {c.entered:5d}  filtered {c.filtered:5d}")
