@@ -19,11 +19,13 @@ streams on the ``tyolo-only`` cascade offline and paced, and prints
   would otherwise show up only as a silent loss of the measured gain,
 * the offline runs' reference batches are all singletons (the reference
   stage takes what its queue holds, up to ``ref_spec().batch.size``),
-* the second offline run's T-YOLO batches average ``num_t_yolo`` frames or
-  fewer (a batch is one round-robin cycle, up to ``num_t_yolo`` frames from
-  each stream in turn, so two streams' frames share it; the second run
-  reads every frame back from the stored clips, so rendering does not
-  thin its queues),
+* an offline T-YOLO batch holds more than ``num_t_yolo`` frames of one
+  stream (a batch is one round-robin cycle, up to ``num_t_yolo`` frames
+  from each stream in turn), or a batch of the offline ``tyolo-only`` run
+  does not hold exactly ``num_t_yolo`` frames of each stream (there T-YOLO
+  pops the stored feeds, which offline hold every frame, so each cycle
+  fills; a default-cascade batch holds what the filters let through in
+  time, so its size measures timing, not the rule),
 * the second run rendered any frame (every one was stored by the first), or
 * the stored clips left a name in the temp directory, or a descriptor open
   once the streams are gone, or
@@ -59,6 +61,17 @@ def open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
+def tyolo_batches(tel: Telemetry) -> list[dict[int, int]]:
+    """Frames per stream of each T-YOLO batch; a batch's verdicts share its
+    busy window."""
+    batches: dict[tuple, dict[int, int]] = {}
+    for ev in tel.bus.events():
+        if ev.kind in ("frame_pass", "frame_filter") and ev.stage == "tyolo":
+            per_stream = batches.setdefault((ev.t_start, ev.ts), {})
+            per_stream[ev.stream] = per_stream.get(ev.stream, 0) + 1
+    return list(batches.values())
+
+
 def run_twice(tmp: str) -> dict:
     zoo = ModelZoo()
     streams = [
@@ -68,7 +81,7 @@ def run_twice(tmp: str) -> dict:
         zoo.train_for_stream(
             s, n_train_frames=120, stride=2, train_config=TrainConfig(epochs=4, batch_size=32, seed=5)
         )
-    ref_batches = []
+    ref_batches, tyolo = [], []
     for attempt in ("first", "second"):
         tel = Telemetry()
         pipe = ThreadedPipeline(streams, zoo, FFSVAConfig(), telemetry=tel)
@@ -80,13 +93,15 @@ def run_twice(tmp: str) -> dict:
         assert engine["peer_wakes"] > 0, f"an offline run woke no peer: {engine}"
         execs = [ev for ev in tel.bus.events() if ev.kind == "batch_exec"]
         ref_batches += [ev.n for ev in execs if ev.stage == "ref"]
-        tyolo_batches = [ev.n for ev in execs if ev.stage == "tyolo"]
+        tyolo += tyolo_batches(tel)
     assert source["frames_rendered"] == 0, f"second run re-rendered stored frames: {source}"
     print(f"offline reference batches: {len(ref_batches)} for {sum(ref_batches)} frames")
     assert max(ref_batches) > 1, f"every offline reference batch was one frame: {ref_batches}"
-    mean_tyolo, cap = sum(tyolo_batches) / len(tyolo_batches), FFSVAConfig().num_t_yolo
-    print(f"second run's T-YOLO batches: {len(tyolo_batches)}, mean {mean_tyolo:.2f} frames")
-    assert mean_tyolo > cap, f"T-YOLO batches average {mean_tyolo:.2f} <= num_t_yolo {cap}"
+    cap = FFSVAConfig().num_t_yolo
+    print(f"offline T-YOLO batches: {len(tyolo)}, {sum(len(b) > 1 for b in tyolo)} mixing streams")
+    assert all(max(b.values()) <= cap for b in tyolo), (
+        f"a T-YOLO batch took more than num_t_yolo {cap} frames of one stream: {tyolo}"
+    )
     paced_run(streams, zoo)
     pooled_runs(streams, zoo)
     assert os.listdir(tmp) == [], f"stored clips left names behind: {os.listdir(tmp)}"
@@ -127,12 +142,20 @@ def pooled_runs(streams, zoo, fps: float = 80.0) -> None:
     both feeds, offline and paced."""
     cfg = FFSVAConfig(cascade="tyolo-only")
     for online in (False, True):
-        pipe = ThreadedPipeline(streams, zoo, cfg)
+        tel = Telemetry()
+        pipe = ThreadedPipeline(streams, zoo, cfg, telemetry=tel)
         m = pipe.run(n_frames=120, online=online, paced_fps=fps if online else None)
         engine = m.extra["engine"]
         print(f"tyolo-only {'paced' if online else 'offline'} run: engine {engine}")
         assert len(pipe.outcomes) == m.frames_offered == 240
         assert engine["worker_threads"] == usable_cpus(), f"expected a worker per CPU: {engine}"
+        if not online:
+            full = dict.fromkeys(range(len(streams)), cfg.num_t_yolo)
+            batches = tyolo_batches(tel)
+            print(f"tyolo-only offline: {len(batches)} T-YOLO batches")
+            assert batches and all(b == full for b in batches), (
+                f"offline tyolo-only T-YOLO batches are not full cycles {full}: {batches}"
+            )
     hold = paced_hold(fps, cfg.num_t_yolo)
     assert engine.get("paced_hold") == hold, f"expected paced_hold {hold}: {engine}"
 

@@ -397,6 +397,10 @@ def _cmd_analyze(args) -> int:
         c = m.stages[spec.name]
         print(f"  {spec.name:>6}: executed {c.entered:5d}  filtered {c.filtered:5d}")
     print(f"{len(report.events)} event frames confirmed by the reference model")
+    # Modelled model bytes beside the batch-sized scratch held right now.
+    for label, sizes in (("model footprint:", system.zoo.memory_footprint()),
+                         ("workspace held:", system.zoo.workspace_bytes())):
+        print(f"{label:<17}" + ", ".join(f"{k} {v / 2**20:.2f} MB" for k, v in sizes.items()))
     terminal = config.graph().terminal.name
     _write_artifacts(args, m, report.telemetry, terminal)
     if report.telemetry is not None and config.telemetry_port is not None:

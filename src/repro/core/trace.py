@@ -33,6 +33,7 @@ import numpy as np
 
 from ..models.tyolo import count_filter_mask
 from ..models.zoo import ModelZoo, StreamModels
+from ..video.ops import FRAME_CHUNK
 from ..video.stream import VideoStream
 
 __all__ = ["FrameTrace", "build_trace"]
@@ -176,10 +177,14 @@ def build_trace(
     *,
     with_ref: bool = False,
     n_frames: int | None = None,
-    chunk: int = 256,
     **train_kwargs,
 ) -> FrameTrace:
     """Run the real models over ``stream`` and record their observables.
+
+    The clip is read and run :data:`~repro.video.ops.FRAME_CHUNK` frames at
+    a time, so the pass holds one chunk of pixels and workspace however long
+    the clip; at the end it hands the bundle's and the shared detectors'
+    workspaces back.
 
     Parameters
     ----------
@@ -191,8 +196,6 @@ def build_trace(
         experiments, expensive otherwise).
     n_frames:
         Trace only the first ``n_frames`` frames.
-    chunk:
-        Frames rendered/processed per vectorized batch (memory knob).
     """
     zoo = zoo or ModelZoo()
     if stream.stream_id not in zoo:
@@ -206,8 +209,8 @@ def build_trace(
     ref_count = np.empty(n, dtype=np.int64) if with_ref else None
     region_rows: list[np.ndarray] = []
 
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, FRAME_CHUNK):
+        stop = min(start + FRAME_CHUNK, n)
         px = stream.pixel_batch(np.arange(start, stop))
         sdd_dist[start:stop] = bundle.sdd.distances(px)
         snm_prob[start:stop] = bundle.snm.predict_proba(px)
@@ -219,6 +222,9 @@ def build_trace(
                 region_rows.append(np.hstack([frames_col, boxes]))
         if ref_count is not None:
             ref_count[start:stop] = zoo.reference.count_batch(px, bundle.background)
+    bundle.release()
+    zoo.tyolo.detector.release()
+    zoo.reference.detector.release()
 
     mosaic_regions = (
         np.concatenate(region_rows)

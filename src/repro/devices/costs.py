@@ -32,7 +32,7 @@ reduced by 30x").  With the defaults below the effective SNM rate crosses
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 __all__ = ["CostModel", "Stage", "STAGES", "PAPER_REF_FRAMES_PER_CALL"]
 
@@ -93,9 +93,11 @@ class CostModel:
     # input — which is where the consolidation speedup comes from.
     mosaic_pack_per_region: float = 30e-6
 
-    @lru_cache(maxsize=None)
+    @cached_property
     def _stage_params(self) -> dict:
-        """Stage -> (per-batch overhead, per-frame time).
+        """Stage -> (per-batch overhead, per-frame time), built once per
+        instance and kept in its ``__dict__`` (a frozen dataclass still has
+        one; the fields alone define equality and hash).
 
         Deferred import: the devices layer loads before the core package
         that owns the canonical stage names.
@@ -149,7 +151,7 @@ class CostModel:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         try:
-            overhead, per_frame = self._stage_params()[stage]
+            overhead, per_frame = self._stage_params[stage]
         except KeyError:
             raise ValueError(f"unknown stage {stage!r}") from None
         return overhead + batch_size * per_frame

@@ -190,6 +190,10 @@ class GridDetector:
         """Drop the chunk-sized workspace; it re-grows on first use."""
         self._work = None
 
+    def workspace_bytes(self) -> int:
+        """Bytes of the chunk-sized workspace held right now."""
+        return 0 if self._work is None else self._work.nbytes
+
     # ------------------------------------------------------------------
     def _resized_background(
         self, background: np.ndarray

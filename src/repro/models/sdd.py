@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..video.ops import get_resize_plan, resize_bilinear
+from ..video.ops import FRAME_CHUNK, get_resize_plan, resize_bilinear
 
-__all__ = ["mse", "nrmse", "sad", "SDD", "calibrate_sdd"]
+__all__ = ["mse", "nrmse", "sad", "SDD", "calibrate_sdd", "sdd_threshold"]
 
 #: SDD's working input size; the paper quotes "100*100-pixel images at 100K FPS".
 SDD_INPUT = (100, 100)
@@ -82,24 +82,36 @@ class SDD:
         self._metric_fn = _METRICS[metric]
         self._resized: np.ndarray | None = None  # steady-state resize buffer
 
+    def release(self) -> None:
+        """Drop the resize buffer; it re-grows to the next batch on first use."""
+        self._resized = None
+
+    def workspace_bytes(self) -> int:
+        """Bytes of batch-sized scratch held right now."""
+        return 0 if self._resized is None else self._resized.nbytes
+
     def distances(self, frames: np.ndarray) -> np.ndarray:
         """Distance of each frame to the reference (after resize).
 
         Runs on the cached :class:`~repro.video.ops.ResizePlan` for the
-        incoming frame shape, resizing into a per-instance buffer so the
-        steady state allocates nothing but the gather temporaries.
+        incoming frame shape, :data:`~repro.video.ops.FRAME_CHUNK` frames at
+        a time, resizing into a per-instance buffer so the steady state
+        allocates nothing but the gather temporaries, and no call holds more
+        than one chunk.
         """
         batch = _batched(frames)
         plan = get_resize_plan(batch.shape[1:], SDD_INPUT)
-        if plan.identity:
-            resized = batch
-        else:
-            # Grown to the largest batch seen and sliced, as the detectors'.
-            n, buf = batch.shape[0], self._resized
-            if buf is None or len(buf) < n:
-                buf = self._resized = np.empty((n, *SDD_INPUT), dtype=np.float32)
-            resized = plan.apply(batch, out=buf[:n])
-        return self._metric_fn(resized, self.reference)
+        dist = np.empty(len(batch), dtype=np.float32)
+        for start in range(0, len(batch), FRAME_CHUNK):
+            chunk = batch[start : start + FRAME_CHUNK]
+            if not plan.identity:
+                # Grown to the largest chunk seen and sliced, as the detectors'.
+                n, buf = len(chunk), self._resized
+                if buf is None or len(buf) < n:
+                    buf = self._resized = np.empty((n, *SDD_INPUT), dtype=np.float32)
+                chunk = plan.apply(chunk, out=buf[:n])
+            dist[start : start + FRAME_CHUNK] = self._metric_fn(chunk, self.reference)
+        return dist
 
     def passes(self, frames: np.ndarray) -> np.ndarray:
         """Boolean mask: True = content change, frame continues downstream."""
@@ -134,13 +146,29 @@ def calibrate_sdd(
         Labelled calibration set; ``labels`` nonzero marks target frames
         (as produced by the reference model, per Section 4.1).
     """
-    labels = np.asarray(labels).astype(bool)
-    if len(frames) != len(labels):
-        raise ValueError("frames and labels must have equal length")
-    if len(frames) == 0:
-        raise ValueError("need at least one calibration frame")
     probe = SDD(reference, threshold=0.0, metric=metric)
     dist = probe.distances(frames)
+    threshold = sdd_threshold(dist, labels, fn_budget=fn_budget, relax_margin=relax_margin)
+    return SDD(reference, threshold=threshold, metric=metric)
+
+
+def sdd_threshold(
+    dist: np.ndarray,
+    labels: np.ndarray,
+    *,
+    fn_budget: float = 0.01,
+    relax_margin: float = 0.9,
+) -> float:
+    """``delta_diff`` from the calibration frames' distances to the reference.
+
+    The rule of :func:`calibrate_sdd`, on distances an onboarding pass has
+    already computed chunk by chunk, so the frames need not be held.
+    """
+    labels = np.asarray(labels).astype(bool)
+    if len(dist) != len(labels):
+        raise ValueError("frames and labels must have equal length")
+    if len(dist) == 0:
+        raise ValueError("need at least one calibration frame")
     target_dist = np.sort(dist[labels])
     if len(target_dist) == 0:
         # No target frames observed: any motion is interesting; fall back to
@@ -152,5 +180,4 @@ def calibrate_sdd(
         k = int(np.floor(fn_budget * len(target_dist)))
         k = min(k, len(target_dist) - 1)
         threshold = float(target_dist[k])
-    threshold *= relax_margin
-    return SDD(reference, threshold=threshold, metric=metric)
+    return threshold * relax_margin

@@ -40,9 +40,9 @@ from ..nn import (
     softmax,
     train_classifier,
 )
-from ..video.ops import frame_median, get_resize_plan, resize_bilinear
+from ..video.ops import FRAME_CHUNK, frame_median, get_resize_plan, resize_bilinear
 
-__all__ = ["SNMConfig", "SNM", "FusedSNM", "train_snm"]
+__all__ = ["SNMConfig", "SNM", "FusedSNM", "train_snm", "fit_snm"]
 
 
 @dataclass(frozen=True)
@@ -139,6 +139,12 @@ class SNM:
         self._resized = None
         self.network.release()
 
+    def workspace_bytes(self) -> int:
+        """Bytes of batch-sized scratch held right now (resize buffer, the
+        layers' backward caches and inference scratch)."""
+        held = 0 if self._resized is None else self._resized.nbytes
+        return held + self.network.workspace_bytes()
+
     # ------------------------------------------------------------------
     def preprocess(self, frames: np.ndarray) -> np.ndarray:
         """Produce the network input: scaled background deviation.
@@ -166,15 +172,31 @@ class SNM:
         diff = (resized - bg[None] * gain) / _DIFF_SCALE
         return diff[:, None, :, :]
 
-    def predict_proba(self, frames: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Predicted probability ``c`` of the target object, per frame."""
-        x = self.preprocess(frames)
+    def predict_proba(self, frames: np.ndarray) -> np.ndarray:
+        """Predicted probability ``c`` of the target object, per frame.
+
+        Walks the batch :data:`~repro.video.ops.FRAME_CHUNK` frames at a
+        time, so neither the resize buffer nor the layers' scratch outgrows
+        one chunk.
+        """
+        batch = np.asarray(frames, dtype=np.float32)
+        if batch.ndim == 2:
+            batch = batch[None]
+        probs = np.empty(len(batch), dtype=np.float32)
+        for start in range(0, len(batch), FRAME_CHUNK):
+            stop = start + FRAME_CHUNK
+            probs[start:stop] = self.input_proba(self.preprocess(batch[start:stop]))
+        return probs
+
+    def input_proba(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`predict_proba` of inputs :meth:`preprocess` already made."""
         temp = max(self.config.temperature, 1e-6)
         probs = np.empty(len(x), dtype=np.float32)
-        for i in range(0, len(x), batch_size):
+        for start in range(0, len(x), FRAME_CHUNK):
+            stop = start + FRAME_CHUNK
             # Zero-alloc forward pass; the scratch logits are consumed here.
-            logits = self.network.predict(x[i : i + batch_size], copy=False) / temp
-            probs[i : i + batch_size] = softmax(logits)[:, 1]
+            logits = self.network.predict(x[start:stop], copy=False) / temp
+            probs[start:stop] = softmax(logits)[:, 1]
         return probs
 
     # ------------------------------------------------------------------
@@ -199,10 +221,15 @@ class SNM:
         ``c_high`` so that almost no background frames score above it
         (FilterDegree 1 output is high-credibility).
         """
-        labels = np.asarray(labels).astype(bool)
         if len(frames) != len(labels):
             raise ValueError("frames and labels must have equal length")
-        probs = self.predict_proba(frames)
+        self.calibrate_on_probs(self.predict_proba(frames), labels)
+
+    def calibrate_on_probs(self, probs: np.ndarray, labels: np.ndarray) -> None:
+        """:meth:`calibrate_thresholds` from the set's predicted ``c``."""
+        labels = np.asarray(labels).astype(bool)
+        if len(probs) != len(labels):
+            raise ValueError("frames and labels must have equal length")
         budget = self.config.tail_budget
         pos, neg = probs[labels], probs[~labels]
         q_pos_low = float(np.quantile(pos, budget)) if len(pos) else 0.5
@@ -349,18 +376,33 @@ def train_snm(
     config: SNMConfig | None = None,
     train_config: TrainConfig | None = None,
 ) -> SNM:
-    """Train and calibrate an SNM from labelled frames.
+    """Train and calibrate an SNM from labelled frames (see :func:`fit_snm`)."""
+    cfg = config or SNMConfig()
+    snm = SNM(build_snm_network(cfg), cfg, background=background)
+    fit_snm(snm, snm.preprocess(frames), labels, train_config)
+    snm.release()
+    return snm
+
+
+def fit_snm(
+    snm: SNM,
+    x: np.ndarray,
+    labels: np.ndarray,
+    train_config: TrainConfig | None = None,
+) -> None:
+    """Train ``snm`` on inputs its :meth:`~SNM.preprocess` made, then calibrate.
 
     Follows Section 4.1: labelled data is split into a training set and a
     test set; the model learns on the former and the thresholds
-    ``c_low``/``c_high`` are selected on the latter.
+    ``c_low``/``c_high`` are selected on the latter.  Taking the network
+    inputs rather than frames lets onboarding preprocess its clip a chunk at
+    a time and keep only the 50x50 inputs.  The layers keep the workspace
+    training grew; :meth:`SNM.release` drops it.
     """
-    cfg = config or SNMConfig()
+    cfg = snm.config
     labels = np.asarray(labels).astype(np.int64)
-    if len(frames) != len(labels):
+    if len(x) != len(labels):
         raise ValueError("frames and labels must have equal length")
-    snm = SNM(build_snm_network(cfg), cfg, background=background)
-    x = snm.preprocess(frames)
     tc = train_config or TrainConfig(epochs=10, batch_size=64, lr=0.04, seed=cfg.seed)
     # Hold out a calibration split distinct from the train/val split used
     # inside train_classifier.
@@ -369,9 +411,4 @@ def train_snm(
     n_cal = max(1, len(x) // 5)
     cal_idx, fit_idx = order[:n_cal], order[n_cal:]
     train_classifier(snm.network, x[fit_idx], labels[fit_idx], tc)
-    snm.calibrate_thresholds(frames[cal_idx], labels[cal_idx])
-    # A trained SNM holds weights, not workspace: here that is sized by the
-    # training set and the calibration split, tens of MB against the paper's
-    # ~200 KB model.
-    snm.release()
-    return snm
+    snm.calibrate_on_probs(snm.input_proba(x[cal_idx]), labels[cal_idx])

@@ -27,10 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from ..nn import TrainConfig, load_weights, save_weights
+from ..video.ops import FRAME_CHUNK
 from ..video.stream import VideoStream
 from .reference import ReferenceModel
-from .sdd import SDD, calibrate_sdd
-from .snm import SNM, SNMConfig, build_snm_network, train_snm
+from .sdd import SDD, sdd_threshold
+from .snm import SNM, SNMConfig, build_snm_network, fit_snm
 from .tyolo import TYolo
 
 __all__ = ["StreamModels", "ModelZoo", "SNM_MEMORY_BYTES"]
@@ -39,9 +40,11 @@ __all__ = ["StreamModels", "ModelZoo", "SNM_MEMORY_BYTES"]
 #: device layer charges per resident SNM.  It counts the model.  What a
 #: trained bundle holds here is ~125 KB: 15 KB of float32 weights and their
 #: gradients, the rest the stream's background at frame, SDD and SNM size.
-#: Not counted: the batch-sized scratch the layers grow on first use (0.2 MB
-#: at batch 1, 2.5 MB at 16), which ``train_snm`` releases so that an idle
-#: stream does not hold the tens of MB its training batches needed.
+#: Not counted: the batch-sized scratch its SDD and SNM grow on first use,
+#: at most one ``FRAME_CHUNK`` deep (0.2 MB at batch 1, 3.2 MB at 16),
+#: which :meth:`StreamModels.release` drops at the end of onboarding and of
+#: ``build_trace``, so an idle stream holds none of it;
+#: :meth:`ModelZoo.workspace_bytes` reports what is held.
 SNM_MEMORY_BYTES = 200 * 1024
 
 
@@ -56,6 +59,16 @@ class StreamModels:
     snm: SNM
     #: Diagnostics from training, useful for reporting.
     train_info: dict = field(default_factory=dict)
+
+    def release(self) -> None:
+        """Drop the SDD and SNM workspaces a bulk pass grew; they re-grow,
+        at most one chunk deep, on next use."""
+        self.sdd.release()
+        self.snm.release()
+
+    def workspace_bytes(self) -> int:
+        """Bytes of SDD and SNM scratch held right now."""
+        return self.sdd.workspace_bytes() + self.snm.workspace_bytes()
 
 
 class ModelZoo:
@@ -98,6 +111,11 @@ class ModelZoo:
         Samples ``n_train_frames`` frames (every ``stride``-th) from the
         front of the stream, labels them with the reference model, and runs
         the two-stage fit/calibrate recipe.  Returns the registered bundle.
+
+        The clip is read :data:`~repro.video.ops.FRAME_CHUNK` frames at a
+        time; each chunk leaves only its per-frame results (label, SDD
+        distance, 50x50 SNM input), so the sampled frames are never held
+        together, and every frame is preprocessed once.
         """
         span = min(len(stream), n_train_frames * stride)
         ts = np.arange(0, span, stride)
@@ -105,19 +123,26 @@ class ModelZoo:
             raise ValueError(
                 f"stream {stream.stream_id} too short to train on ({len(stream)} frames)"
             )
-        frames = stream.pixel_batch(ts)
         background = stream.reference_image()
-        labels = self.reference.label_frames(frames, background)
-        # The label pass grew the detector's buffer to a bulk chunk (11 MB);
-        # the pipeline's reference batches are a few frames.
-        self.reference.detector.release()
-
-        sdd = calibrate_sdd(
-            background, frames, labels, fn_budget=sdd_fn_budget
-        )
         # A stable per-stream seed (Python's str hash is salted per process).
         cfg = snm_config or SNMConfig(seed=zlib.crc32(stream.stream_id.encode()) % (2**31))
-        snm = train_snm(frames, labels, background, cfg, train_config)
+        snm = SNM(build_snm_network(cfg), cfg, background=background)
+        probe = SDD(background, threshold=0.0)
+        labels = np.empty(len(ts), dtype=np.int64)
+        dist = np.empty(len(ts), dtype=np.float32)
+        x = np.empty((len(ts), 1, cfg.input_size, cfg.input_size), dtype=np.float32)
+        for start in range(0, len(ts), FRAME_CHUNK):
+            stop = start + FRAME_CHUNK
+            frames = stream.pixel_batch(ts[start:stop])
+            labels[start:stop] = self.reference.label_frames(frames, background)
+            dist[start:stop] = probe.distances(frames)
+            x[start:stop] = snm.preprocess(frames)
+        # The label pass grew the reference's workspace to a full chunk;
+        # the engine's reference batches are often smaller.
+        self.reference.detector.release()
+
+        sdd = SDD(background, threshold=sdd_threshold(dist, labels, fn_budget=sdd_fn_budget))
+        fit_snm(snm, x, labels, train_config)
 
         bundle = StreamModels(
             stream_id=stream.stream_id,
@@ -133,6 +158,9 @@ class ModelZoo:
                 "c_high": snm.c_high,
             },
         )
+        # Training grew the layers to its batches (tens of MB): an idle
+        # stream holds weights, not workspace.
+        bundle.release()
         self.streams[stream.stream_id] = bundle
         return bundle
 
@@ -213,3 +241,17 @@ class ModelZoo:
             "reference": REFERENCE_MEMORY_BYTES,
             "snm_total": SNM_MEMORY_BYTES * len(self.streams),
         }
+
+    def workspace_bytes(self) -> dict[str, int]:
+        """Bytes of batch-sized scratch held right now, beside the model
+        bytes of :meth:`memory_footprint`: the shared detectors' workspaces
+        (``"tyolo"``, ``"reference"``) and each stream bundle's SDD and SNM
+        scratch (``"stream/<id>"``).  No entry outgrows one ``FRAME_CHUNK``,
+        and each reads 0 after onboarding or ``build_trace``."""
+        held = {
+            "tyolo": self.tyolo.detector.workspace_bytes(),
+            "reference": self.reference.detector.workspace_bytes(),
+        }
+        for stream_id, bundle in self.streams.items():
+            held[f"stream/{stream_id}"] = bundle.workspace_bytes()
+        return held

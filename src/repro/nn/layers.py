@@ -120,6 +120,15 @@ def _scratch(bufs: dict[str, np.ndarray], key: str, shape: tuple, dtype=np.float
     return buf
 
 
+def _nbytes(obj) -> int:
+    """Bytes of the arrays in ``obj``, an array or a (nested) tuple/list."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (tuple, list)):
+        return sum(_nbytes(item) for item in obj)
+    return 0
+
+
 class Layer:
     """Base class: stateless by default, parameterized layers override.
 
@@ -154,6 +163,10 @@ class Layer:
         """
         self._cache = None
         self._bufs.clear()
+
+    def workspace_bytes(self) -> int:
+        """Bytes the backward cache and the inference scratch hold now."""
+        return _nbytes(self._cache) + sum(buf.nbytes for buf in self._bufs.values())
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Forward pass without backward caching; defaults to ``forward``."""

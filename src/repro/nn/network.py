@@ -86,6 +86,10 @@ class Sequential:
         for layer in self.layers:
             layer.release()
 
+    def workspace_bytes(self) -> int:
+        """Bytes of batch-sized workspace :meth:`release` would drop."""
+        return sum(layer.workspace_bytes() for layer in self.layers)
+
     def n_parameters(self) -> int:
         """Total number of scalar parameters."""
         return sum(p.size for _, params, _ in self.parameters() for p in params.values())

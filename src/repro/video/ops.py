@@ -37,11 +37,15 @@ __all__ = [
     "normalize_unit",
 ]
 
-#: Frames per pass of the batched kernels.  Per-frame results are
-#: independent, so walking a large batch in chunks changes nothing but the
-#: size of the temporaries (a 600-frame label pass at 208x208 would
-#: otherwise hold ~100 MB per intermediate).
-FRAME_CHUNK = 64
+#: Frames per pass of every batched kernel and bulk pass (resize, the
+#: detectors, SDD distances, SNM inference, onboarding's label pass and
+#: trace building).  Per-frame results are independent, so walking a large
+#: batch in chunks changes nothing but the size of the temporaries and
+#: workspaces, which stay one chunk deep however long the clip (a 600-frame
+#: label pass at 208x208 would otherwise hold ~100 MB per intermediate).
+#: It equals SDD's fixed batch and the reference stage's ``REF_BATCH``, so
+#: no engine call at those stages is split (DESIGN.md section 27).
+FRAME_CHUNK = 16
 
 
 class ResizePlan:
